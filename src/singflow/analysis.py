@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from singflow.flow import FlowState, Trajectory
+from singflow.geometry import stencil_clear
 from singflow.norms import cstar2_norm
-from singflow.operators import laplacian
+from singflow.operators import laplacian, stencil_symbol
 from singflow.weight import WeightField
 
 
@@ -111,12 +112,6 @@ def fit_decay_rate_log(times, log_values, window: tuple[float, float], quantity:
     )
 
 
-def first_stencil_eigenvalue(w: WeightField) -> float:
-    grid = w.grid
-    s = grid.spacing
-    return (2.0 / s**2) * (1.0 - np.cos(2 * np.pi * s / grid.length))
-
-
 def tension_bound(state0: FlowState, w: WeightField) -> float:
     """G = max over the grid of the target-metric norm of the initial tension.
 
@@ -159,10 +154,13 @@ def check_max_principle(traj: Trajectory, w: WeightField) -> list[BoundReport]:
 
 
 class BochnerAccumulator:
-    """Streaming max of (d theta/dt - Lap theta) over a run.
+    """Streaming max over interior nodes and steps of (d theta/dt - Lap theta).
 
-    Keeps a rolling window of three theta fields; usable as a flow step
-    callback so refinement-study runs never hold the dense theta history.
+    The continuum quantity is nonpositive, so the positive part measures the
+    discretization error. Keeps a rolling window of three theta fields for the
+    centered time difference; usable as a flow step callback, so runs never
+    hold the dense theta history. Nodes whose stencil reaches the pinned ring
+    are excluded.
     """
 
     def __init__(self, w: WeightField, pins: np.ndarray):
@@ -170,14 +168,7 @@ class BochnerAccumulator:
 
         self._theta_field = theta_field
         self.w = w
-        grid = w.grid
-        clear = ~pins
-        ok = clear.copy()
-        for ax in range(3):
-            for shift in (1, 2, -1, -2):
-                ok &= np.roll(clear, shift, axis=ax)
-        ok &= w.rho.rho_unclamped > 2.0 * grid.spacing
-        self.mask = ok
+        self.mask = stencil_clear(pins) & (w.rho.rho_unclamped > 2.0 * w.grid.spacing)
         self.window: list[tuple[float, np.ndarray]] = []
         self.worst = -math.inf
 
@@ -190,35 +181,6 @@ class BochnerAccumulator:
             (t0, th0), (_, th1), (t2, th2) = self.window
             expr = (th2 - th0) / (t2 - t0) - laplacian(th1, self.w.grid.spacing)
             self.worst = max(self.worst, float(np.max(expr[self.mask])))
-
-
-def bochner_violation(traj: Trajectory, w: WeightField) -> float:
-    """max over interior nodes/steps of (d theta/dt - Lap theta).
-
-    The continuum quantity is nonpositive, so the positive part measures the
-    discretization error. Uses centered differences of the recorded theta
-    snapshots; nodes whose stencil reaches the pinned ring are excluded.
-    """
-    snaps = traj.theta_snapshots
-    if len(snaps) < 3:
-        raise ValueError("need at least 3 recorded theta snapshots")
-    grid = w.grid
-    clear = ~traj.pins
-    ok = clear.copy()
-    for ax in range(3):
-        for shift in (1, 2, -1, -2):
-            ok &= np.roll(clear, shift, axis=ax)
-    ok &= w.rho.rho_unclamped > 2.0 * grid.spacing
-
-    worst = -math.inf
-    for i in range(1, len(snaps) - 1):
-        t_prev, th_prev = snaps[i - 1]
-        t_mid, th_mid = snaps[i]
-        t_next, th_next = snaps[i + 1]
-        dtheta = (th_next - th_prev) / (t_next - t_prev)
-        expr = dtheta - laplacian(th_mid, grid.spacing)
-        worst = max(worst, float(np.max(expr[ok])))
-    return worst
 
 
 def theta_decay_check(
@@ -240,7 +202,7 @@ def theta_decay_check(
     if not np.any(np.isfinite(log_t2)):
         return {"verdict": "empty", "monotone": True, "fits": []}
 
-    lam1 = first_stencil_eigenvalue(w)
+    lam1 = stencil_symbol((1, 0, 0), w.grid)
     c0 = 2.0 * lam1
 
     finite = np.isfinite(log_t2)
@@ -388,7 +350,7 @@ def convergence_report(
     T = times[-1]
     if window is None:
         window = (1.0, T / 2.0)
-    lam1 = first_stencil_eigenvalue(w)
+    lam1 = stencil_symbol((1, 0, 0), w.grid)
     with np.errstate(divide="ignore"):
         log_series = np.where(series > 0, np.log(np.maximum(series, 1e-320)), -np.inf)
     fit = fit_decay_rate_log(times, log_series, window, quantity="cstar2_to_final")

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from singflow.config import ConfigError, RunConfig, build_problem, parse_config
+from singflow.flow import SERIES_COLUMNS
 from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
 
-SERIES_COLUMNS = ("t", "H", "theta_l2", "max_abs_phi2", "hyp_dist_to_init", "residual1", "residual2")
 AUX_COLUMNS = ("t", "log_theta2", "weighted_dt_sup")
 
 
@@ -87,8 +87,7 @@ def cmd_run(cfg: RunConfig, out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     grid, gamma, rho, w = build_problem(cfg)
-    params = {"c": cfg.family_c, "a": cfg.family_a, "b": cfg.family_b}
-    state0 = init_state(cfg.family, params, w)
+    state0 = init_state(cfg.family, cfg.family_params, w)
     dt = cfg.dt if cfg.dt_policy == "fixed" else min(cfg.dt, cfl_dt(state0, w, cfg.cfl_factor))
     traj = run(state0, w, dt=dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
 
@@ -146,8 +145,7 @@ def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     grid, gamma, rho, w = build_problem(cfg)
-    params = {"c": cfg.family_c, "a": cfg.family_a, "b": cfg.family_b}
-    phi0_1, phi0_2 = initial_fields(cfg.family, params, w)
+    phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
     basis = build_basis(grid, cfg.galerkin_N)
     f1, f2 = galerkin_forcing(cfg.galerkin_forcing, grid, rho)
     times = np.arange(0.0, cfg.galerkin_t_final + 1e-12, cfg.galerkin_dt)
@@ -195,15 +193,10 @@ def _load_series(run_dir: str):
 
 
 def cmd_analyze(run_dir: str) -> int:
-    from singflow.analysis import (
-        check_max_principle,
-        exponent_fit,
-        fit_decay_rate_log,
-        first_stencil_eigenvalue,
-    )
-    from singflow.config import RunConfig as RC
-    from singflow.flow import FlowState, Trajectory
+    from singflow.analysis import check_max_principle, exponent_fit, fit_decay_rate_log
+    from singflow.flow import FlowState, Trajectory, pin_mask
     from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
+    from singflow.operators import stencil_symbol
 
     if not os.path.isdir(run_dir):
         print(f"error: run directory {run_dir!r} does not exist", file=sys.stderr)
@@ -217,7 +210,7 @@ def cmd_analyze(run_dir: str) -> int:
         summary = json.load(fh)
     cfg_dict = dict(summary["config"])
     cfg_dict["circle_center"] = tuple(cfg_dict["circle_center"])
-    cfg = RC(**cfg_dict)
+    cfg = RunConfig(**cfg_dict)
     grid, gamma, rho, w = build_problem(cfg)
 
     snap_paths = sorted(
@@ -236,8 +229,6 @@ def cmd_analyze(run_dir: str) -> int:
     ]
     series = _load_series(run_dir)
 
-    from singflow.flow import pin_mask
-
     traj = Trajectory(
         weight=w,
         dt=cfg.dt,
@@ -249,7 +240,7 @@ def cmd_analyze(run_dir: str) -> int:
 
     reports: dict = {"decay": [], "bounds": [], "norms": []}
     window = (cfg.fit_window_start, min(cfg.fit_window_end, traj.final.t))
-    lam1 = first_stencil_eigenvalue(w)
+    lam1 = stencil_symbol((1, 0, 0), w.grid)
     try:
         fit = fit_decay_rate_log(series["t"], series["log_theta2"], window, "theta_l2_integral")
         fit.reference_rate = 2.0 * lam1
@@ -330,7 +321,6 @@ def main(argv=None) -> int:
         prog="singflow",
         description="Singular harmonic-map heat flow laboratory on the flat 3-torus",
     )
-    parser.add_argument("--threads", type=int, default=None, help="cap BLAS/FFT worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate the nonlinear flow and write outputs")
@@ -352,9 +342,6 @@ def main(argv=None) -> int:
     p_ver.add_argument("--seed", type=int, default=None)
 
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     if args.command == "analyze":
         try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 class ConfigError(Exception):
@@ -62,6 +62,11 @@ class RunConfig:
     galerkin_dt: float = 1e-3
     galerkin_t_final: float = 0.3
     galerkin_forcing: str = "trig_damped"
+
+    @property
+    def family_params(self) -> dict:
+        """[flow] amplitudes (c, a, b) keyed as the initial-data families read them."""
+        return {"c": self.family_c, "a": self.family_a, "b": self.family_b}
 
     def as_dict(self) -> dict:
         d = asdict(self)
@@ -145,9 +150,11 @@ def _validate(cfg: RunConfig, errors: list[str]):
         errors.append(f"[flow] scheme = {cfg.scheme!r}: only imex is implemented")
     if cfg.dt_policy not in ("fixed", "cfl"):
         errors.append(f"[flow] dt_policy = {cfg.dt_policy!r}: must be fixed or cfl")
-    for name in ("dt", "t_final", "snapshot_interval", "cfl_factor", "solver_tol"):
+    for name in ("dt", "t_final", "snapshot_interval", "cfl_factor"):
         if getattr(cfg, name) <= 0:
             errors.append(f"[flow] {name} = {getattr(cfg, name)}: must be positive")
+    if cfg.solver_tol <= 0:
+        errors.append(f"[weight] solver_tol = {cfg.solver_tol}: must be positive")
     if cfg.galerkin_N < 1:
         errors.append(f"[galerkin] N = {cfg.galerkin_N}: must be at least 1")
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:
@@ -198,7 +205,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         except ValueError as exc:
             errors.append(f"{source}:{lineno}: cannot parse {key} = {raw_val!r} ({exc})")
 
-    cfg = RunConfig(**values) if not errors else RunConfig(**{k: v for k, v in values.items()})
+    cfg = RunConfig(**values)
     _apply_env_overrides(cfg, errors)
     _validate(cfg, errors)
     if errors:
@@ -231,8 +238,11 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text, source=path)
 
 
-def build_problem(cfg: RunConfig):
-    """Instantiate (grid, curve, distance field, weight) from a config."""
+def build_problem(cfg: RunConfig, near_radius: float | None = None):
+    """Instantiate (grid, curve, distance field, weight) from a config.
+
+    near_radius, when given, replaces the distance field's default near-curve radius.
+    """
     from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
     from singflow.weight import build_weight
 
@@ -243,6 +253,6 @@ def build_problem(cfg: RunConfig):
         gamma = CurveGamma.circle(
             cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
         )
-    rho = distance_to_curve(grid, gamma)
+    rho = distance_to_curve(grid, gamma, near_radius=near_radius)
     w = build_weight(rho, alpha=cfg.alpha, tol=cfg.solver_tol)
     return grid, gamma, rho, w

@@ -15,15 +15,14 @@ with the stencil eigenvalues.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from singflow.geometry import DistanceField, TorusGrid
-from singflow.norms import log_integral_sq, theta_field
-from singflow.operators import gradient, laplacian
-from singflow.weight import WeightField, weight_power
+from singflow.norms import log_integral_sq
+from singflow.operators import gradient, laplacian, rfft_wavevectors, stencil_symbol
+from singflow.weight import WeightField
 
 
 class FlowBlowupError(RuntimeError):
@@ -35,24 +34,14 @@ class FlowBlowupError(RuntimeError):
         self.max_drift = max_drift
 
 
-def stencil_symbol_grid(grid: TorusGrid, full: bool = False) -> np.ndarray:
-    """7-point -Laplacian symbol on the rfftn (or full fftn) layout."""
-    n, L, s = grid.n, grid.length, grid.spacing
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kr = k if full else np.fft.rfftfreq(n, d=1.0 / n)
-    one = lambda kk: 1.0 - np.cos(2 * np.pi * kk * s / L)  # noqa: E731
-    sym = one(k)[:, None, None] + one(k)[None, :, None] + one(kr)[None, None, :]
-    return (2.0 / s**2) * sym
-
-
 def implicit_euler_factor(grid: TorusGrid, dt: float) -> np.ndarray:
     """Backward-Euler damping factors on the rfftn layout (flow stepper)."""
-    return 1.0 / (1.0 + dt * stencil_symbol_grid(grid))
+    return 1.0 / (1.0 + dt * stencil_symbol(rfft_wavevectors(grid), grid))
 
 
 def heat_propagator_factors(grid: TorusGrid, dt: float):
     """Crank-Nicolson half-step factors ((1 - dt/2 L), 1/(1 + dt/2 L)), rfftn layout."""
-    sym = stencil_symbol_grid(grid)
+    sym = stencil_symbol(rfft_wavevectors(grid), grid)
     return 1.0 / (1.0 + 0.5 * dt * sym), 1.0 - 0.5 * dt * sym
 
 
@@ -76,43 +65,15 @@ class FlowState:
         )
 
 
-@dataclass
-class FlowConfig:
-    alpha: float = 1.5
-    n: int = 32
-    length: float = 1.0
-    family: str = "zero"
-    family_params: dict = field(default_factory=dict)
-    scheme: str = "imex"
-    dt_policy: str = "fixed"  # 'fixed' or 'cfl'
-    dt: float = 1e-4
-    cfl_factor: float = 0.25
-    t_final: float = 1.0
-    snapshot_interval: float = 0.25
-    pin_radius: float | None = None  # default: one grid spacing
-
-    def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1 (weight exponent regime alpha > 1)")
-        if self.dt <= 0 or self.t_final <= 0:
-            raise ValueError("dt and t_final must be positive")
-        if self.scheme != "imex":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.dt_policy not in ("fixed", "cfl"):
-            raise ValueError(f"unknown dt policy {self.dt_policy!r}")
-
-
 def smooth_cutoff(rho: np.ndarray, L: float) -> np.ndarray:
     """C^2 cutoff: 1 for rho <= L/4, 0 for rho >= 3L/8, smoothstep between."""
     t = np.clip((3 * L / 8 - rho) / (L / 8), 0.0, 1.0)
     return t**3 * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def pin_mask(rho: DistanceField, pin_radius: float | None = None) -> np.ndarray:
-    """Nodes representing the curve: the ring where phi1 is held at zero."""
-    if pin_radius is None:
-        pin_radius = rho.grid.spacing
-    return rho.rho_unclamped <= pin_radius
+def pin_mask(rho: DistanceField) -> np.ndarray:
+    """Nodes representing the curve: the ring within one spacing where phi1 is held at zero."""
+    return rho.rho_unclamped <= rho.grid.spacing
 
 
 def initial_fields(family: str, params: dict, w: WeightField):
@@ -183,7 +144,7 @@ def _rhs_with_grads(phi1, phi2, w: WeightField):
     g1, lap1 = _grad_and_lap(phi1, s)
     g2, lap2 = _grad_and_lap(phi2, s)
     v = g2 + w.alpha * w.grad_log_h
-    wtil = np.exp(-2.0 * w.alpha * w.log_h - 2.0 * phi2)
+    wtil = w.metric_weight(phi2)
     r1 = lap1 - 2.0 * np.sum(v * g1, axis=0)
     r2 = lap2 + wtil * np.sum(g1 * g1, axis=0)
     # the identity keys let consumers detect a stale cache after field mutation
@@ -199,10 +160,10 @@ def _rhs_with_grads(phi1, phi2, w: WeightField):
     return r1, r2, cache
 
 
-def init_state(family: str, params: dict, w: WeightField, pin_radius: float | None = None) -> FlowState:
+def init_state(family: str, params: dict, w: WeightField) -> FlowState:
     phi1, phi2 = initial_fields(family, params, w)
     phi1 = phi1.copy()
-    pins = pin_mask(w.rho, pin_radius)
+    pins = pin_mask(w.rho)
     phi1[pins] = 0.0
     r1, r2, cache = _rhs_with_grads(phi1, phi2, w)
     r1[pins] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
@@ -280,7 +241,6 @@ class Trajectory:
     series: dict  # column -> list of floats, plus log/sup extras
     snapshots: list[FlowState]
     snapshot_times: list[float]
-    theta_snapshots: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
     @property
     def initial(self) -> FlowState:
@@ -294,9 +254,7 @@ class Trajectory:
         return np.asarray(self.series[name])
 
 
-def steady_residual(
-    state: FlowState, w: WeightField, pin_radius: float | None = None
-) -> tuple[float, float]:
+def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
     """Weighted sup residuals of the limiting elliptic system:
 
     (sup rho^{7/2-a} |Lap phi1 - 2 (grad phi2 + a grad h / h) . grad phi1|,
@@ -307,7 +265,7 @@ def steady_residual(
     solution satisfies the curve condition instead of the bulk equation.
     """
     r1, r2, _ = _rhs_with_grads(state.phi1, state.phi2, w)
-    r1[pin_mask(w.rho, pin_radius)] = 0.0
+    r1[pin_mask(w.rho)] = 0.0
     rho = w.rho.rho
     a = w.alpha
     return (
@@ -333,7 +291,7 @@ def _series_row(state: FlowState, w: WeightField, pre: dict):
     else:
         g1 = gradient(state.phi1, s)
         g2 = gradient(state.phi2, s)
-        wtil = np.exp(-2.0 * w.alpha * w.log_h - 2.0 * state.phi2)
+        wtil = w.metric_weight(state.phi2)
 
     H = float(np.sum(wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0))) * vol
     theta = wtil * r1 * r1 + r2 * r2
@@ -367,8 +325,6 @@ def run(
     dt: float,
     t_final: float,
     snapshot_interval: float,
-    pin_radius: float | None = None,
-    record_theta: bool = False,
     step_callback=None,
     conserve_phi2_mean: bool = False,
 ) -> Trajectory:
@@ -384,13 +340,15 @@ def run(
     its own round-off then floors every decaying mode; projecting it out each
     step keeps the remaining noise proportional to the decaying amplitude, so
     pure-decay runs stay clean over hundreds of orders of magnitude. Only
-    valid for zero-mean data without a source feeding the mean.
+    valid for phi1 = 0 and zero-mean phi2, where no source feeds the mean.
     """
     grid = w.grid
-    pins = pin_mask(w.rho, pin_radius)
+    pins = pin_mask(w.rho)
     factor = implicit_euler_factor(grid, dt)
 
     if conserve_phi2_mean:
+        if np.any(state0.phi1 != 0.0):
+            raise ValueError("conserve_phi2_mean requires phi1 = 0")
         mean0 = float(state0.phi2.mean())
         if abs(mean0) > 1e-12 * max(1.0, float(np.max(np.abs(state0.phi2)))):
             raise ValueError("conserve_phi2_mean requires zero-mean initial phi2")
@@ -429,9 +387,6 @@ def run(
         step_callback(state)
     snapshots = [state.copy()]
     snapshot_times = [0.0]
-    theta_snaps = []
-    if record_theta:
-        theta_snaps.append((0.0, theta_field(state.phi2, state.dphi1_dt, state.dphi2_dt, w)))
 
     for i in range(1, n_steps + 1):
         state = step(state, w, dt, pins, euler_factor=factor, step_index=i)
@@ -441,8 +396,6 @@ def run(
         log_row(state)
         if step_callback is not None:
             step_callback(state)
-        if record_theta:
-            theta_snaps.append((state.t, theta_field(state.phi2, state.dphi1_dt, state.dphi2_dt, w)))
         if i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
             snapshot_times.append(state.t)
@@ -454,5 +407,4 @@ def run(
         series=series,
         snapshots=snapshots,
         snapshot_times=snapshot_times,
-        theta_snapshots=theta_snaps,
     )

@@ -146,9 +146,15 @@ class DistanceField:
     ridge_mask: np.ndarray
     grad_rho: np.ndarray
 
-    @property
-    def clamp_active(self) -> np.ndarray:
-        return self.rho_unclamped < self.rho_min_clamp
+
+def stencil_clear(excluded: np.ndarray) -> np.ndarray:
+    """Nodes whose +-2-node stencil along every axis avoids the excluded nodes."""
+    clear = ~excluded
+    ok = clear.copy()
+    for ax in range(3):
+        for shift in (1, 2, -1, -2):
+            ok &= np.roll(clear, shift, axis=ax)
+    return ok
 
 
 def _axis_line_distance(grid: TorusGrid, gamma: CurveGamma):

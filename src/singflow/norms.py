@@ -15,7 +15,7 @@ import numpy as np
 
 from singflow.geometry import TorusGrid, periodic_distance, wrap_delta
 from singflow.operators import gradient, grid_inner
-from singflow.weight import WeightField, weight_power
+from singflow.weight import WeightField
 
 
 @dataclass
@@ -43,7 +43,7 @@ def energy_H(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> float:
     s = w.grid.spacing
     g1 = gradient(phi1, s)
     g2 = gradient(phi2, s)
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+    wtil = w.metric_weight(phi2)
     density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
     return float(np.sum(density)) * w.grid.cell_volume
 
@@ -52,7 +52,7 @@ def theta_field(
     phi2: np.ndarray, dphi1_dt: np.ndarray, dphi2_dt: np.ndarray, w: WeightField
 ) -> np.ndarray:
     """Squared target-metric speed: h^{-2a} e^{-2 phi2} |dphi1|^2 + |dphi2|^2."""
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+    wtil = w.metric_weight(phi2)
     return wtil * dphi1_dt**2 + dphi2_dt**2
 
 
@@ -181,7 +181,7 @@ def local_energy_E(
         raise ValueError("sigma must be at least 2*spacing")
     mask = ball_mask(grid, center, sigma)
     s = grid.spacing
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+    wtil = w.metric_weight(phi2)
     g1 = gradient(phi1, s)
     g2 = gradient(phi2, s)
     grad_density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)

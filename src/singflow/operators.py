@@ -18,7 +18,22 @@ import math
 
 import numpy as np
 
-from singflow.weight import WeightField, weight_power
+from singflow.weight import WeightField
+
+
+def rfft_wavevectors(grid):
+    """Broadcastable integer wave-vector components (k1, k2, k3) on the rfftn layout."""
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    kr = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
+    return k[:, None, None], k[None, :, None], kr[None, None, :]
+
+
+def stencil_symbol(k, grid) -> np.ndarray:
+    """Eigenvalue (2/s^2) sum_i (1 - cos(2 pi k_i s / L)) of the 7-point -Laplacian
+    on the Fourier mode k = (k1, k2, k3); the components broadcast."""
+    s, L = grid.spacing, grid.length
+    one = [1.0 - np.cos(2 * np.pi * np.asarray(ki, dtype=float) * s / L) for ki in k]
+    return (2.0 / s**2) * (one[0] + one[1] + one[2])
 
 
 def laplacian(f: np.ndarray, spacing: float) -> np.ndarray:
@@ -70,7 +85,7 @@ def flow_rhs(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> tuple[np.nda
     g2 = gradient(phi2, s)
     v = g2 + w.alpha * w.grad_log_h
     r1 = laplacian(phi1, s) - 2.0 * np.sum(v * g1, axis=0)
-    wq = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+    wq = w.metric_weight(phi2)
     r2 = laplacian(phi2, s) + wq * np.sum(g1 * g1, axis=0)
     return r1, r2
 
@@ -90,7 +105,7 @@ def P_residual(
     O(spacing^2) on smooth fields.
     """
     s = w.grid.spacing
-    wq = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+    wq = w.metric_weight(phi2)
     g1 = gradient(phi1, s)
     if conservative:
         flux = wq[None] * g1
@@ -120,7 +135,7 @@ def DP_apply(
     With dk/dt omitted the purely spatial operator is returned.
     """
     s = w.grid.spacing
-    wq = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi0_2)
+    wq = w.metric_weight(phi0_2)
     g0 = gradient(phi0_1, s)
     gk1 = gradient(k1, s)
     gk2 = gradient(k2, s)
@@ -135,31 +150,4 @@ def DP_apply(
         d1 = d1 + dk1_dt
     if dk2_dt is not None:
         d2 = d2 + dk2_dt
-    return d1, d2
-
-
-def DP_apply_expanded(
-    phi0_1: np.ndarray,
-    phi0_2: np.ndarray,
-    k1: np.ndarray,
-    k2: np.ndarray,
-    w: WeightField,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial linearized operator with the first component in drift form.
-
-    Equivalent to DP_apply to O(spacing^2); used by the grid time stepper for
-    the linearized system, where dividing by the weight is undesirable.
-    """
-    s = w.grid.spacing
-    wq = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi0_2)
-    g0 = gradient(phi0_1, s)
-    gk1 = gradient(k1, s)
-    gk2 = gradient(k2, s)
-    v = gradient(phi0_2, s) + w.alpha * w.grad_log_h
-    d1 = -laplacian(k1, s) + 2.0 * np.sum(v * gk1, axis=0) + 2.0 * np.sum(g0 * gk2, axis=0)
-    d2 = (
-        -laplacian(k2, s)
-        + 2.0 * wq * np.sum(g0 * g0, axis=0) * k2
-        - 2.0 * wq * np.sum(g0 * gk1, axis=0)
-    )
     return d1, d2

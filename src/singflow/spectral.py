@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from singflow.geometry import TorusGrid
-from singflow.operators import exact_inner, gradient, grid_inner, laplacian
+from singflow.operators import exact_inner, gradient, grid_inner, stencil_symbol
 from singflow.weight import WeightField, weight_power
 
 
@@ -35,11 +35,6 @@ class Mode:
     lambda_continuum: float
     lambda_stencil: float
     lambda_grad: float
-
-
-def stencil_eigenvalue(k, grid: TorusGrid) -> float:
-    s, L = grid.spacing, grid.length
-    return (2.0 / s**2) * sum(1.0 - np.cos(2 * np.pi * ki * s / L) for ki in k)
 
 
 def grad_eigenvalue(k, grid: TorusGrid) -> float:
@@ -128,7 +123,7 @@ def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
                 wavevector=k,
                 kind=kind,
                 lambda_continuum=lam_c,
-                lambda_stencil=stencil_eigenvalue(k, grid),
+                lambda_stencil=stencil_symbol(k, grid),
                 lambda_grad=grad_eigenvalue(k, grid),
             )
         )
@@ -157,7 +152,7 @@ def build_weighted_basis(basis: SpectralBasis, w: WeightField, phi0_2: np.ndarra
 def weighted_norm_check(wb: WeightedBasis) -> np.ndarray:
     """||psi1_m||^2 in L^2(M; h^{-alpha}): should be 1 for every mode."""
     w = wb.weight
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * wb.phi0_2)
+    wtil = w.metric_weight(wb.phi0_2)
     vol = w.grid.cell_volume
     return np.array([grid_inner(wtil * f, f, vol) for f in wb.fields])
 
@@ -184,6 +179,10 @@ class GalerkinSystem:
     def N(self) -> int:
         return self.A.shape[0]
 
+    def block_matrix(self) -> np.ndarray:
+        """[[A, B], [D, C]]: the 2N x 2N matrix of the coefficient system."""
+        return np.block([[self.A, self.B], [self.D, self.C]])
+
 
 def assemble_galerkin(
     phi0_1: np.ndarray,
@@ -207,7 +206,7 @@ def assemble_galerkin(
     N = basis.size
 
     wb = build_weighted_basis(basis, w, phi0_2)
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi0_2)
+    wtil = w.metric_weight(phi0_2)
     g0 = gradient(phi0_1, s)
     g0_sq = np.sum(g0 * g0, axis=0)
 
@@ -263,11 +262,7 @@ class OdeBlowupError(RuntimeError):
 def integrate_ode(system: GalerkinSystem, T: float, dt: float) -> GalerkinSystem:
     """Implicit trapezoidal integration of the 2N-dimensional system from zero data."""
     N = system.N
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = system.A
-    M[:N, N:] = system.B
-    M[N:, N:] = system.C
-    M[N:, :N] = system.D
+    M = system.block_matrix()
 
     steps = int(round(T / dt))
     t_grid = dt * np.arange(steps + 1)
@@ -299,7 +294,6 @@ def reconstruct(system: GalerkinSystem, index: int) -> tuple[np.ndarray, np.ndar
     """(k1, k2) fields at integration step `index`."""
     if system.C1 is None:
         raise ValueError("integrate_ode must run before reconstruct")
-    N = system.N
     k1 = np.tensordot(system.C1[index], system.wbasis.fields, axes=(0, 0))
     k2 = np.tensordot(system.C2[index], system.basis.fields, axes=(0, 0))
     return k1, k2
@@ -308,7 +302,7 @@ def reconstruct(system: GalerkinSystem, index: int) -> tuple[np.ndarray, np.ndar
 def project_onto_basis(system: GalerkinSystem, k1: np.ndarray, k2: np.ndarray):
     """Coefficients recovering (k1, k2) from the weighted/plain Gram systems."""
     vol = system.weight.grid.cell_volume
-    wtil = weight_power(system.weight, -2.0 * system.weight.alpha) * np.exp(-2.0 * system.phi0_2)
+    wtil = system.weight.metric_weight(system.phi0_2)
     N = system.N
     wb = system.wbasis.fields
     gram1 = vol * (wb.reshape(N, -1) * wtil.ravel()[None]) @ wb.reshape(N, -1).T
@@ -323,22 +317,21 @@ def weak_residual(
     system: GalerkinSystem,
     f1,
     f2,
-    checkpoints: int = 8,
     test_functions: tuple[SpectralBasis, WeightedBasis] | None = None,
 ) -> float:
     """Max defect of the two weak-form identities over a set of test functions.
 
     `states` iterates (t, k1, k2) at uniform time spacing from t=0; time
     integrals are trapezoidal on that spacing and the identities are checked
-    at `checkpoints` evenly spread times. Test functions default to the
-    system's own basis fields (time independent, so the time-derivative
-    transfer terms vanish); pass a larger (basis, weighted basis) pair to
-    probe directions outside the solution span.
+    at 8 evenly spread times. Test functions default to the system's own
+    basis fields (time independent, so the time-derivative transfer terms
+    vanish); pass a larger (basis, weighted basis) pair to probe directions
+    outside the solution span.
     """
     grid = system.weight.grid
     vol = grid.cell_volume
     s = grid.spacing
-    wtil = weight_power(system.weight, -2.0 * system.weight.alpha) * np.exp(-2.0 * system.phi0_2)
+    wtil = system.weight.metric_weight(system.phi0_2)
     g0 = gradient(system.phi0_1, s)
     g0_sq = np.sum(g0 * g0, axis=0)
 
@@ -377,7 +370,7 @@ def weak_residual(
     rows = np.asarray(rows)
     times = np.asarray(times)
     n_steps = len(times) - 1
-    check_idx = np.unique(np.linspace(1, n_steps, min(checkpoints, n_steps)).astype(int))
+    check_idx = np.unique(np.linspace(1, n_steps, min(8, n_steps)).astype(int))
 
     defect = 0.0
     for idx in check_idx:
@@ -410,7 +403,7 @@ def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]
     s = grid.spacing
     alpha = w.alpha
     rho = w.rho.rho
-    wtil = weight_power(w, -2.0 * alpha) * np.exp(-2.0 * system.phi0_2)
+    wtil = w.metric_weight(system.phi0_2)
 
     max_mass = 0.0
     grad_series = []
@@ -465,7 +458,7 @@ def linearized_imex_states(
 
     grid = w.grid
     s = grid.spacing
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi0_2)
+    wtil = w.metric_weight(phi0_2)
     g0 = gradient(phi0_1, s)
     g0_sq = np.sum(g0 * g0, axis=0)
     v = gradient(phi0_2, s) + w.alpha * w.grad_log_h

@@ -18,6 +18,7 @@ standard nonlinear run; the battery derives the auxiliary runs from it:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
@@ -29,13 +30,11 @@ from singflow.analysis import (
     convergence_report,
     epsilon_regularity_scan,
     exponent_fit,
-    first_stencil_eigenvalue,
     theta_decay_check,
 )
-from singflow.config import RunConfig
+from singflow.config import RunConfig, build_problem
 from singflow.flow import init_state, pin_mask, run
-from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
-from singflow.operators import DP_apply, P_residual, exact_inner, gradient
+from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
     assemble_galerkin,
     build_basis,
@@ -44,12 +43,7 @@ from singflow.spectral import (
     integrate_ode,
     weak_residual,
 )
-from singflow.weight import (
-    build_weight,
-    harmonicity_residual,
-    log_asymptotics_shell,
-    weight_power,
-)
+from singflow.weight import harmonicity_residual, log_asymptotics_shell
 
 
 def verdict(name: str, passed: bool, measured: float, reference: float, tolerance: float) -> dict:
@@ -60,19 +54,6 @@ def verdict(name: str, passed: bool, measured: float, reference: float, toleranc
         "reference": float(reference),
         "tolerance": float(tolerance),
     }
-
-
-def _problem(cfg: RunConfig, n: int | None = None, near_radius: float | None = None):
-    grid = TorusGrid(n or cfg.n, cfg.length)
-    if cfg.curve_kind == "axis_line":
-        gamma = CurveGamma.axis_line(cfg.curve_a, cfg.curve_b)
-    else:
-        gamma = CurveGamma.circle(
-            cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
-        )
-    rho = distance_to_curve(grid, gamma, near_radius=near_radius)
-    w = build_weight(rho, alpha=cfg.alpha, tol=cfg.solver_tol)
-    return grid, rho, w
 
 
 def _smooth_direction(grid, rng, amp=0.5, n_modes=4):
@@ -90,7 +71,7 @@ def _smooth_direction(grid, rng, amp=0.5, n_modes=4):
 def check_operator_linearization(cfg: RunConfig) -> list[dict]:
     """Finite-difference directional derivative of the flow operator converges
     linearly in epsilon toward the assembled linearization."""
-    grid, rho, w = _problem(cfg)
+    grid, _, _, w = build_problem(cfg)
     from singflow.flow import initial_fields
 
     phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.3}, w)
@@ -115,21 +96,14 @@ def check_operator_linearization(cfg: RunConfig) -> list[dict]:
     return [verdict("operator_gateaux_order", measured <= 0.2, measured, 0.0, 0.2)]
 
 
-def _galerkin_setup(cfg: RunConfig, N: int, phi0=None, forcing=None, dt=None, T=None):
-    grid, rho, w = _problem(cfg)
+def _galerkin_setup(cfg: RunConfig, N: int, dt=None, T=None):
+    from singflow.cli import galerkin_forcing
     from singflow.flow import initial_fields
 
-    if phi0 is None:
-        phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
-        _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
-    else:
-        phi0_1, phi0_2 = phi0
-    if forcing is None:
-        from singflow.cli import galerkin_forcing
-
-        f1, f2 = galerkin_forcing("trig_damped", grid, rho)
-    else:
-        f1, f2 = forcing
+    grid, _, rho, w = build_problem(cfg)
+    phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
+    _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
+    f1, f2 = galerkin_forcing("trig_damped", grid, rho)
     dt = dt or cfg.galerkin_dt
     T = T or cfg.galerkin_t_final
     times = np.arange(0.0, T + 1e-12, dt)
@@ -144,7 +118,7 @@ def _brute_force_matrices(system):
     vol = grid.cell_volume
     s = grid.spacing
     N = system.N
-    wtil = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * system.phi0_2)
+    wtil = w.metric_weight(system.phi0_2)
     g0 = gradient(system.phi0_1, s)
     g0sq = np.sum(g0 * g0, axis=0)
 
@@ -201,11 +175,7 @@ def _brute_force_matrices(system):
 
 def _rk4_reference(system, T, dt):
     N = system.N
-    M = np.zeros((2 * N, 2 * N))
-    M[:N, :N] = system.A
-    M[:N, N:] = system.B
-    M[N:, N:] = system.C
-    M[N:, :N] = system.D
+    M = system.block_matrix()
 
     F = np.zeros((len(system.times), 2 * N))
     F[:, :N] = system.F1
@@ -293,7 +263,7 @@ def _energy_corpus(grid, rho):
 
 
 def check_energy_estimate(cfg: RunConfig) -> list[dict]:
-    grid, rho, w = _problem(cfg)
+    grid, _, rho, w = build_problem(cfg)
     from singflow.flow import initial_fields
 
     ratios = []
@@ -317,9 +287,8 @@ def check_energy_estimate(cfg: RunConfig) -> list[dict]:
 
 
 def _standard_run(cfg: RunConfig):
-    grid, rho, w = _problem(cfg)
-    params = {"c": cfg.family_c, "a": cfg.family_a, "b": cfg.family_b}
-    state0 = init_state(cfg.family, params, w)
+    w = build_problem(cfg)[3]
+    state0 = init_state(cfg.family, cfg.family_params, w)
     traj = run(
         state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval
     )
@@ -342,12 +311,11 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
     refinement clause asserts the measured violation keeps clearing a bound
     that tightened at the discretization rate.
     """
-    params = {"c": cfg.family_c, "a": cfg.family_a, "b": cfg.family_b}
     T = 0.04
     results = {}
     for label, n, dt in (("coarse", cfg.n, 2e-4), ("fine", 2 * cfg.n, 1e-4)):
-        grid, rho, w = _problem(cfg, n=n)
-        state0 = init_state(cfg.family, params, w)
+        grid, _, rho, w = build_problem(dataclasses.replace(cfg, n=n))
+        state0 = init_state(cfg.family, cfg.family_params, w)
         acc = BochnerAccumulator(w, pin_mask(rho))
         run(state0, w, dt=dt, t_final=T, snapshot_interval=T, step_callback=acc)
         results[label] = {"violation": acc.worst, "bound": 10.0 * (dt + grid.spacing**2)}
@@ -375,7 +343,7 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
 def _theta_run(cfg: RunConfig):
     # phi1 = 0 is an exact solution branch: the system reduces to the heat
     # equation, whose pure decay stays representable over the [1, 5] window
-    grid, rho, w = _problem(cfg)
+    w = build_problem(cfg)[3]
     state0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
     traj = run(
         state0, w, dt=1e-3, t_final=cfg.t_final, snapshot_interval=0.1, conserve_phi2_mean=True
@@ -460,7 +428,7 @@ def _curve_adjacent_centers(grid, rho, count=4):
 
 
 def check_epsilon_regularity(cfg: RunConfig) -> list[dict]:
-    grid, rho, w = _problem(cfg)
+    grid, _, rho, w = build_problem(cfg)
     state0 = init_state("poly_cutoff", {"c": 0.05}, w)
     centers = _curve_adjacent_centers(grid, rho)
 
@@ -483,7 +451,7 @@ def check_weight_construction(cfg: RunConfig) -> list[dict]:
     residuals = {}
     shell_dev = 0.0
     for n in (16, 32, 64):
-        grid, rho, w = _problem(cfg, n=n, near_radius=0.25 * cfg.length)
+        w = build_problem(dataclasses.replace(cfg, n=n), near_radius=0.25 * cfg.length)[3]
         residuals[n] = harmonicity_residual(w, exclusion_radius=0.3 * cfg.length)
         lo, hi = log_asymptotics_shell(w)
         shell_dev = max(shell_dev, abs(lo - 1.0), abs(hi - 1.0))
@@ -519,15 +487,17 @@ def check_infrastructure(cfg: RunConfig, out_dir: str) -> list[dict]:
     roundtrip_ok = filecmp.cmp(p1, p2, shallow=False)
 
     # determinism: identical tiny runs produce byte-identical outputs
-    small = RunConfig(**{**cfg.as_dict(), "circle_center": tuple(cfg.circle_center)})
-    small.n = 16
-    small.t_final = 0.02
-    small.dt = 1e-3
-    small.snapshot_interval = 0.01
-    small.family = "poly_cutoff+trig"
-    small.family_c = 0.1
-    small.family_a = 0.05
-    small.family_b = 0.05
+    small = dataclasses.replace(
+        cfg,
+        n=16,
+        t_final=0.02,
+        dt=1e-3,
+        snapshot_interval=0.01,
+        family="poly_cutoff+trig",
+        family_c=0.1,
+        family_a=0.05,
+        family_b=0.05,
+    )
     dirs = [os.path.join(out_dir, f"determinism_{i}") for i in (0, 1)]
     for d in dirs:
         cmd_run(small, d)

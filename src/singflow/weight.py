@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from singflow.geometry import DistanceField, TorusGrid
+from singflow.geometry import DistanceField, TorusGrid, stencil_clear
 
 
 class WeightSourceWarning(UserWarning):
@@ -44,6 +45,14 @@ class WeightField:
         if self.alpha <= 1.0:
             raise ValueError("alpha must exceed 1 (weight exponent regime alpha > 1)")
 
+    @cached_property
+    def _h_minus_2a(self) -> np.ndarray:
+        return weight_power(self, -2.0 * self.alpha)
+
+    def metric_weight(self, phi2: np.ndarray) -> np.ndarray:
+        """h^{-2a} e^{-2 phi2}, the target-metric weight on the phi1 direction."""
+        return self._h_minus_2a * np.exp(-2.0 * phi2)
+
 
 def weight_power(w: WeightField, p: float) -> np.ndarray:
     """h^p evaluated in log space (dynamic-range safe)."""
@@ -52,11 +61,10 @@ def weight_power(w: WeightField, p: float) -> np.ndarray:
 
 def spectral_symbol(grid: TorusGrid) -> np.ndarray:
     """Continuum symbol of -Lap on the rfftn layout: 4 pi^2 |k|^2 / L^2."""
-    n, L = grid.n, grid.length
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    kr = np.fft.rfftfreq(n, d=1.0 / n)
-    k2 = k[:, None, None] ** 2 + k[None, :, None] ** 2 + kr[None, None, :] ** 2
-    return (2.0 * np.pi / L) ** 2 * k2
+    from singflow.operators import rfft_wavevectors
+
+    k1, k2, k3 = rfft_wavevectors(grid)
+    return (2.0 * np.pi / grid.length) ** 2 * (k1**2 + k2**2 + k3**2)
 
 
 def poisson_solve_mean_zero(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
@@ -152,12 +160,7 @@ def harmonicity_residual(w: WeightField, exclusion_radius: float) -> float:
         raise ValueError("exclusion_radius must be at least 2*spacing")
     lap = divergence(gradient(w.log_h, w.grid.spacing), w.grid.spacing)
 
-    clear = ~w.rho.ridge_mask
-    ok = clear.copy()
-    for ax in range(3):
-        for shift in (1, 2, -1, -2):
-            ok &= np.roll(clear, shift, axis=ax)
-    ok &= w.rho.rho_unclamped >= exclusion_radius
+    ok = stencil_clear(w.rho.ridge_mask) & (w.rho.rho_unclamped >= exclusion_radius)
     if not np.any(ok):
         raise ValueError("exclusion removes every node; lower exclusion_radius")
     return float(np.max(np.abs(lap[ok])))

@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from singflow.analysis import (
+    BochnerAccumulator,
     BoundReport,
     barrier_check,
-    bochner_violation,
     check_max_principle,
     convergence_report,
     epsilon_regularity_scan,
     exponent_fit,
-    first_stencil_eigenvalue,
     fit_decay_rate,
     tension_bound,
     theta_decay_check,
 )
-from singflow.flow import init_state, run
+from singflow.flow import init_state, pin_mask, run
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
+from singflow.operators import stencil_symbol
 from singflow.weight import build_weight
 
 
@@ -39,13 +39,21 @@ def w32():
 @pytest.fixture(scope="module")
 def heat_traj(w16):
     st = init_state("trig", {"a": 0.3, "b": 0.2}, w16)
-    return run(st, w16, dt=1e-3, t_final=0.3, snapshot_interval=0.01, record_theta=False)
+    return run(st, w16, dt=1e-3, t_final=0.3, snapshot_interval=0.01)
 
 
 @pytest.fixture(scope="module")
-def nonlinear_traj(w16):
+def nonlinear_run(w16):
+    """(trajectory, Bochner accumulator) of one small nonlinear run."""
     st = init_state("poly_cutoff+trig", {"c": 0.05, "a": 0.002, "b": 0.003}, w16)
-    return run(st, w16, dt=1e-4, t_final=0.02, snapshot_interval=0.005, record_theta=True)
+    acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+    traj = run(st, w16, dt=1e-4, t_final=0.02, snapshot_interval=0.005, step_callback=acc)
+    return traj, acc
+
+
+@pytest.fixture(scope="module")
+def nonlinear_traj(nonlinear_run):
+    return nonlinear_run[0]
 
 
 class TestFitDecayRate:
@@ -112,8 +120,9 @@ class TestMaxPrinciple:
 class TestBochner:
     def test_zero_trajectory(self, w16):
         st = init_state("zero", {}, w16)
-        traj = run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005, record_theta=True)
-        assert bochner_violation(traj, w16) <= 0.0
+        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005, step_callback=acc)
+        assert acc.worst <= 0.0
 
     def test_single_heat_mode_matches_analytic(self, w16):
         # theta = |Lap phi2|^2 for a pure heat mode; the discrete expression
@@ -121,21 +130,21 @@ class TestBochner:
         grid = w16.grid
         dt = 1e-4
         st = init_state("trig", {"a": 0.02, "b": 0.0}, w16)
-        traj = run(st, w16, dt=dt, t_final=20 * dt, snapshot_interval=dt, record_theta=True)
+        # stopping at step 11 leaves the theta fields of steps 9, 10 and 11
+        # (the middle of a 20-step run) in the accumulator's window
+        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        run(st, w16, dt=dt, t_final=11 * dt, snapshot_interval=dt, step_callback=acc)
 
         from singflow.operators import gradient, laplacian
 
-        i = len(traj.theta_snapshots) // 2
-        t_prev, th_prev = traj.theta_snapshots[i - 1]
-        t_mid, th_mid = traj.theta_snapshots[i]
-        t_next, th_next = traj.theta_snapshots[i + 1]
+        (t_prev, th_prev), (t_mid, th_mid), (t_next, th_next) = acc.window
         expr = (th_next - th_prev) / (t_next - t_prev) - laplacian(th_mid, grid.spacing)
 
         # find the state at t_mid to evaluate the analytic target
         idx = int(round(t_mid / dt))
         state_mid = None
         st2 = init_state("trig", {"a": 0.02, "b": 0.0}, w16)
-        from singflow.flow import pin_mask, step
+        from singflow.flow import step
 
         pins = pin_mask(w16.rho)
         for k in range(idx):
@@ -145,8 +154,9 @@ class TestBochner:
         scale = float(np.max(np.abs(target)))
         assert np.max(np.abs(expr - target)) <= 60.0 * (dt**2 + grid.spacing**2) * scale
 
-    def test_nonlinear_violation_small(self, w16, nonlinear_traj):
-        v = bochner_violation(nonlinear_traj, w16)
+    def test_nonlinear_violation_small(self, w16, nonlinear_run):
+        nonlinear_traj, acc = nonlinear_run
+        v = acc.worst
         assert v <= 10.0 * (nonlinear_traj.dt + w16.grid.spacing**2)
 
 
@@ -161,7 +171,7 @@ class TestThetaDecay:
         out = theta_decay_check(heat_traj, w16, window=(0.05, 0.25))
         assert out["monotone"]
         fit_l2, fit_sup = out["fits"]
-        lam = first_stencil_eigenvalue(w16)
+        lam = stencil_symbol((1, 0, 0), w16.grid)
         dt = heat_traj.dt
         lam_eff = math.log(1.0 + lam * dt) / dt  # implicit-Euler effective rate
         assert fit_l2.rate == pytest.approx(4.0 * lam_eff, rel=0.02)
@@ -233,7 +243,7 @@ class TestConvergenceReport:
         st = init_state("trig", {"a": 0.3, "b": 0.0}, w16)
         traj = run(st, w16, dt=1e-3, t_final=0.3, snapshot_interval=0.01)
         out = convergence_report(traj, w16, window=(0.05, 0.15))
-        lam = first_stencil_eigenvalue(w16)
+        lam = stencil_symbol((1, 0, 0), w16.grid)
         dt = traj.dt
         lam_eff = math.log(1.0 + lam * dt) / dt
         assert out["verdict"] == "fitted"

@@ -36,6 +36,11 @@ class TestConfigParsing:
             parse_config_text(MINIMAL + "\n[weight]\nalpha = 0.5\n")
         assert any("alpha must exceed 1" in e for e in err.value.errors)
 
+    def test_solver_tol_reported_under_weight(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "\n[weight]\nsolver_tol = 0\n")
+        assert err.value.errors == ["[weight] solver_tol = 0.0: must be positive"]
+
     def test_duplicate_key_reports_both_lines(self):
         text = "[grid]\nn = 16\nn = 32\n"
         with pytest.raises(ConfigError) as err:

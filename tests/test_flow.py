@@ -168,6 +168,14 @@ class TestRun:
         val = float(np.sum(theta * theta)) * w16.grid.cell_volume
         assert val == pytest.approx(traj.column("theta_l2")[-1], rel=1e-12)
 
+    def test_conserve_phi2_mean_requires_zero_phi1(self, w16):
+        # the mean shift is exact only while phi1 = 0 feeds no source into phi2
+        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        with pytest.raises(ValueError, match="phi1 = 0"):
+            run(st, w16, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3, conserve_phi2_mean=True)
+        st = init_state("trig", {"a": 0.1, "b": 0.1}, w16)
+        run(st, w16, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3, conserve_phi2_mean=True)
+
     def test_snapshot_schedule(self, w16):
         st = init_state("zero", {}, w16)
         traj = run(st, w16, dt=1e-3, t_final=0.02, snapshot_interval=0.005)

@@ -12,11 +12,13 @@ from singflow.operators import (
     gradient,
     grid_inner,
     laplacian,
+    rfft_wavevectors,
+    stencil_symbol,
 )
 from singflow.weight import assemble_weight, build_weight
 
 
-def stencil_symbol(k, n, L):
+def exact_symbol(k, n, L):
     """Exact eigenvalue of the 7-point -Laplacian on mode k."""
     s = L / n
     return (2.0 / s**2) * sum(1.0 - np.cos(2 * np.pi * ki * s / L) for ki in k)
@@ -60,8 +62,23 @@ class TestLaplacian:
     def test_fourier_mode_exact_symbol(self, grid):
         for k in [(1, 0, 0), (2, 1, 0), (3, 1, 2)]:
             f = trig_mode(grid, k, 0.3)
-            lam = stencil_symbol(k, grid.n, grid.length)
+            lam = exact_symbol(k, grid.n, grid.length)
             assert np.max(np.abs(laplacian(f, grid.spacing) + lam * f)) < 1e-9 * lam
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_stencil_symbol_bitwise(n):
+    """The broadcasting symbol reproduces the per-layout formulas bit for bit."""
+    g = TorusGrid(n, 1.0)
+    s, L = g.spacing, g.length
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    kr = np.fft.rfftfreq(n, d=1.0 / n)
+    one = lambda kk: 1.0 - np.cos(2 * np.pi * kk * s / L)  # noqa: E731
+    layout = (2.0 / s**2) * (one(k)[:, None, None] + one(k)[None, :, None] + one(kr)[None, None, :])
+    assert np.array_equal(stencil_symbol(rfft_wavevectors(g), g), layout)
+    for mode in [(0, 0, 0), (1, 0, 0), (0, -1, 1), (2, 1, -3), (n // 2 - 1, 1, 0)]:
+        assert stencil_symbol(mode, g) == exact_symbol(mode, n, L)
+    assert stencil_symbol((1, 0, 0), g) == (2.0 / s**2) * (1.0 - np.cos(2 * np.pi * s / L))
 
 
 class TestGradient:
@@ -163,7 +180,7 @@ class TestPResidual:
     def test_discrete_heat_solution(self, grid, weight16):
         z = np.zeros(grid.shape)
         phi2 = trig_mode(grid, (1, 0, 0), 0.7)
-        dphi2 = -stencil_symbol((1, 0, 0), grid.n, grid.length) * phi2
+        dphi2 = -exact_symbol((1, 0, 0), grid.n, grid.length) * phi2
         r1, r2 = P_residual(z, phi2, z, dphi2, weight16)
         assert np.max(np.abs(r1)) == 0.0
         assert np.max(np.abs(r2)) < 1e-9

@@ -136,6 +136,11 @@ class TestAssembleWeight:
     def test_weight_power_log_space(self):
         w = axis_weight(16)
         assert np.allclose(weight_power(w, -3.0), w.h**-3.0, rtol=1e-10)
+        # the metric weight is the same h^{-2a} e^{-2 phi2} product, bit for bit
+        x1 = np.broadcast_to(w.grid.coords[0], w.grid.shape)
+        for phi2 in (np.zeros(w.grid.shape), 0.7 * np.sin(2 * np.pi * x1) - 0.2):
+            expected = weight_power(w, -2.0 * w.alpha) * np.exp(-2.0 * phi2)
+            assert np.array_equal(w.metric_weight(phi2), expected)
 
     def test_alpha_regime_enforced(self):
         grid = TorusGrid(8, 1.0)
