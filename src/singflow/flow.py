@@ -274,6 +274,22 @@ def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
     )
 
 
+def _series_constants(state0: FlowState, w: WeightField) -> dict:
+    """Per-run constant factors of the diagnostics row, relative to state0."""
+    rho = w.rho.rho
+    a = w.alpha
+    return {
+        "admissible": w.rho.rho_unclamped > 2.0 * w.grid.spacing,
+        "alpha_log_h": a * w.log_h,
+        "rho_15ma": rho ** (1.5 - a),
+        "rho_15": rho**1.5,
+        "rho_35ma": rho ** (3.5 - a),
+        "rho_35": rho**3.5,
+        "phi1_0": state0.phi1.copy(),
+        "Phi2_0": np.exp(a * w.log_h + state0.phi2),
+    }
+
+
 def _series_row(state: FlowState, w: WeightField, pre: dict):
     from singflow.norms import hyperbolic_distance
 
@@ -358,18 +374,7 @@ def run(
         r1[pins] = 0.0
         state0.dphi1_dt, state0.dphi2_dt, state0.cache = r1, r2, cache
 
-    rho = w.rho.rho
-    a = w.alpha
-    pre = {
-        "admissible": w.rho.rho_unclamped > 2.0 * grid.spacing,
-        "alpha_log_h": a * w.log_h,
-        "rho_15ma": rho ** (1.5 - a),
-        "rho_15": rho**1.5,
-        "rho_35ma": rho ** (3.5 - a),
-        "rho_35": rho**3.5,
-        "phi1_0": state0.phi1.copy(),
-        "Phi2_0": np.exp(a * w.log_h + state0.phi2),
-    }
+    pre = _series_constants(state0, w)
 
     n_steps = int(round(t_final / dt))
     snap_every = max(1, int(round(snapshot_interval / dt)))

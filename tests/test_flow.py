@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from singflow import flow
 from singflow.flow import (
     FlowBlowupError,
+    FlowState,
     cfl_dt,
+    heat_solve,
+    implicit_euler_factor,
     init_state,
     initial_fields,
     pin_mask,
@@ -14,6 +18,7 @@ from singflow.flow import (
 )
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.norms import theta_field
+from singflow.operators import flow_rhs, gradient, laplacian
 from singflow.weight import build_weight
 
 
@@ -133,8 +138,6 @@ def _advance(w, dt, T, family="poly_cutoff+trig", params=None):
     params = params or {"c": 0.5, "a": 0.05, "b": 0.05}
     st = init_state(family, params, w)
     pins = pin_mask(w.rho)
-    from singflow.flow import implicit_euler_factor
-
     factor = implicit_euler_factor(w.grid, dt)
     for i in range(int(round(T / dt))):
         st = step(st, w, dt, pins, euler_factor=factor, step_index=i)
@@ -259,3 +262,58 @@ class TestCfl:
         s = w16.grid.spacing
         min_rho = float(np.min(w16.rho.rho))
         assert dt == pytest.approx(0.25 * s * min_rho / (2 * 1.5), rel=1e-12)
+
+
+@pytest.fixture(scope="module", params=[8, 16, 32])
+def weight_n(request):
+    grid = TorusGrid(request.param, 1.0)
+    rho = distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5))
+    return build_weight(rho, alpha=1.5)
+
+
+class TestBitwiseAgainstOperators:
+    """The stepper's fused kernels reproduce the operators.py reference bit for bit."""
+
+    def test_rhs_and_stencils_on_random_fields(self, weight_n):
+        rng = np.random.default_rng(weight_n.grid.n)
+        phi1 = rng.standard_normal(weight_n.grid.shape)
+        phi2 = 0.1 * rng.standard_normal(weight_n.grid.shape)
+        s = weight_n.grid.spacing
+        r1, r2, cache = flow._rhs_with_grads(phi1, phi2, weight_n)
+        ref1, ref2 = flow_rhs(phi1, phi2, weight_n)
+        assert np.array_equal(r1, ref1)
+        assert np.array_equal(r2, ref2)
+        for key, f in (("1", phi1), ("2", phi2)):
+            assert np.array_equal(cache["g" + key], gradient(f, s))
+            assert np.array_equal(cache["lap" + key], laplacian(f, s))
+
+    def test_run_matches_reference_loop(self, w16):
+        dt, steps = 2e-4, 50
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        traj = run(st0, w16, dt=dt, t_final=steps * dt, snapshot_interval=steps * dt)
+
+        # the step written with operators.py only, never reading a cache
+        grid, s = w16.grid, w16.grid.spacing
+        pins = pin_mask(w16.rho)
+        factor = implicit_euler_factor(grid, dt)
+        pre = flow._series_constants(st0, w16)
+        phi1, phi2, t = st0.phi1, st0.phi2, 0.0
+        r1, r2 = flow_rhs(phi1, phi2, w16)
+        r1[pins] = 0.0
+        rows = [flow._series_row(FlowState(phi1, phi2, t, r1, r2), w16, pre)]
+        for _ in range(steps):
+            e1 = r1 - laplacian(phi1, s)
+            e2 = r2 - laplacian(phi2, s)
+            phi1 = heat_solve(phi1 + dt * e1, factor, grid.shape)
+            phi2 = heat_solve(phi2 + dt * e2, factor, grid.shape)
+            phi1[pins] = 0.0
+            t += dt
+            r1, r2 = flow_rhs(phi1, phi2, w16)
+            r1[pins] = 0.0
+            rows.append(flow._series_row(FlowState(phi1, phi2, t, r1, r2), w16, pre))
+
+        assert np.array_equal(traj.final.phi1, phi1)
+        assert np.array_equal(traj.final.phi2, phi2)
+        assert set(traj.series) == set(rows[0])
+        for col, got in traj.series.items():
+            assert got == [row[col] for row in rows], col
