@@ -231,7 +231,7 @@ def cmd_analyze(run_dir: str) -> int:
 
     traj = Trajectory(
         weight=w,
-        dt=cfg.dt,
+        dt=summary["dt_used"],
         pins=pin_mask(rho),
         series={k: list(v) for k, v in series.items()},
         snapshots=states,

@@ -96,7 +96,12 @@ def check_operator_linearization(cfg: RunConfig) -> list[dict]:
     return [verdict("operator_gateaux_order", measured <= 0.2, measured, 0.0, 0.2)]
 
 
-def _galerkin_setup(cfg: RunConfig, N: int, dt=None, T=None):
+def _galerkin_setup(cfg: RunConfig, N: int, dt: float, T: float):
+    """Galerkin system of the oracle checks on the config's grid and weight.
+
+    The battery's oracle runs at N = 4, dt = 2e-4 and T = 0.3, fixed by its
+    caller and independent of the config's [galerkin] section.
+    """
     from singflow.cli import galerkin_forcing
     from singflow.flow import initial_fields
 
@@ -104,11 +109,9 @@ def _galerkin_setup(cfg: RunConfig, N: int, dt=None, T=None):
     phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
     _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
     f1, f2 = galerkin_forcing("trig_damped", grid, rho)
-    dt = dt or cfg.galerkin_dt
-    T = T or cfg.galerkin_t_final
     times = np.arange(0.0, T + 1e-12, dt)
     system = assemble_galerkin(phi0_1, phi0_2, w, basis=build_basis(grid, N), f1=f1, f2=f2, times=times)
-    return system, f1, f2, dt, T
+    return system, f1, f2
 
 
 def _brute_force_matrices(system):
@@ -198,7 +201,8 @@ def _rk4_reference(system, T, dt):
 
 
 def check_galerkin_oracles(cfg: RunConfig) -> list[dict]:
-    system, f1, f2, dt, T = _galerkin_setup(cfg, N=4, dt=2e-4, T=0.3)
+    dt, T = 2e-4, 0.3
+    system, f1, f2 = _galerkin_setup(cfg, N=4, dt=dt, T=T)
     A, B, C, D = _brute_force_matrices(system)
     diff = max(
         float(np.max(np.abs(system.A - A))),

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from singflow.cli import cmd_galerkin, cmd_run, main
+from singflow.cli import cmd_analyze, cmd_galerkin, cmd_run, main
 from singflow.config import ConfigError, RunConfig, parse_config_text
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
 
@@ -141,6 +141,29 @@ class TestCmdRun:
         assert snap.n == (16, 16, 16)
         assert snap.alpha == 1.5
         assert set(snap.fields) == {"phi1", "phi2", "dphi1_dt", "dphi2_dt"}
+
+
+class TestCmdAnalyze:
+    def test_trajectory_uses_dt_of_the_run(self, tmp_path, monkeypatch):
+        import singflow.analysis
+
+        text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
+        cfg = parse_config_text(text)
+        out = tmp_path / "run"
+        assert cmd_run(cfg, str(out)) == 0
+        dt_used = json.loads((out / "summary.json").read_text())["dt_used"]
+        assert dt_used < cfg.dt
+
+        seen = []
+        check = singflow.analysis.check_max_principle
+
+        def spy(traj, w):
+            seen.append(traj)
+            return check(traj, w)
+
+        monkeypatch.setattr(singflow.analysis, "check_max_principle", spy)
+        assert cmd_analyze(str(out)) == 0
+        assert [traj.dt for traj in seen] == [dt_used]
 
 
 class TestCmdGalerkin:
