@@ -15,6 +15,7 @@ with the stencil eigenvalues.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,24 +127,41 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
             )
 
 
-def _grad_and_lap(f: np.ndarray, spacing: float):
-    """Centered gradient and 7-point Laplacian sharing one set of shifts."""
+def _grad_and_lap(f: np.ndarray, w: WeightField):
+    """Centered gradient and 7-point Laplacian read from one wrap-padded copy.
+
+    The face layers of w.stencil_pad receive the periodic neighbours (edges
+    and corners are never read). The float operations and their order are
+    those of operators.gradient and operators.laplacian, so the results are
+    bitwise equal to them.
+    """
+    s = w.grid.spacing
+    pad = w.stencil_pad
+    c = slice(1, -1)
+    pad[c, c, c] = f
+    pad[0, c, c], pad[-1, c, c] = f[-1], f[0]
+    pad[c, 0, c], pad[c, -1, c] = f[:, -1], f[:, 0]
+    pad[c, c, 0], pad[c, c, -1] = f[:, :, -1], f[:, :, 0]
+    shifts = (
+        (pad[2:, c, c], pad[:-2, c, c]),
+        (pad[c, 2:, c], pad[c, :-2, c]),
+        (pad[c, c, 2:], pad[c, c, :-2]),
+    )
     grad = np.empty((3,) + f.shape)
     lap = -6.0 * f
-    inv2 = 0.5 / spacing
-    for ax in range(3):
-        plus = np.roll(f, -1, axis=ax)
-        minus = np.roll(f, 1, axis=ax)
-        grad[ax] = (plus - minus) * inv2
+    inv2 = 0.5 / s
+    for ax, (plus, minus) in enumerate(shifts):
+        np.subtract(plus, minus, out=grad[ax])
+        grad[ax] *= inv2
         lap += plus + minus
-    return grad, lap / spacing**2
+    lap /= s**2
+    return grad, lap
 
 
 def _rhs_with_grads(phi1, phi2, w: WeightField):
-    s = w.grid.spacing
-    g1, lap1 = _grad_and_lap(phi1, s)
-    g2, lap2 = _grad_and_lap(phi2, s)
-    v = g2 + w.alpha * w.grad_log_h
+    g1, lap1 = _grad_and_lap(phi1, w)
+    g2, lap2 = _grad_and_lap(phi2, w)
+    v = g2 + w.alpha_grad_log_h
     wtil = w.metric_weight(phi2)
     r1 = lap1 - 2.0 * np.sum(v * g1, axis=0)
     r2 = lap2 + wtil * np.sum(g1 * g1, axis=0)
@@ -213,8 +231,7 @@ def step(
     phi1[pins] = 0.0
 
     if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
-        g2 = gradient(state.phi2, s)
-        v = g2 + w.alpha * w.grad_log_h
+        v = gradient(state.phi2, s) + w.alpha_grad_log_h
         raise FlowBlowupError(step_index, float(np.max(np.sqrt(np.sum(v * v, axis=0)))))
 
     r1, r2, cache = _rhs_with_grads(phi1, phi2, w)
@@ -335,6 +352,27 @@ def _series_row(state: FlowState, w: WeightField, pre: dict):
     }
 
 
+def march(
+    state0: FlowState, w: WeightField, dt: float, t_final: float, step_callback=None
+) -> FlowState:
+    """Take round(t_final / dt) steps from state0 and return the final state.
+
+    step_callback(state), when given, runs on the initial state and after
+    every step; streaming consumers (local-in-time diagnostics) hook in here
+    without the memory cost of dense snapshots or the per-step series row.
+    """
+    pins = pin_mask(w.rho)
+    factor = implicit_euler_factor(w.grid, dt)
+    state = state0
+    if step_callback is not None:
+        step_callback(state)
+    for i in range(1, int(round(t_final / dt)) + 1):
+        state = step(state, w, dt, pins, euler_factor=factor, step_index=i)
+        if step_callback is not None:
+            step_callback(state)
+    return state
+
+
 def run(
     state0: FlowState,
     w: WeightField,
@@ -347,8 +385,7 @@ def run(
     """March the flow to t_final, logging per-step series and scheduled snapshots.
 
     step_callback(state), when given, runs on the initial state and after
-    every step; streaming consumers (local-in-time diagnostics) hook in here
-    without the memory cost of dense snapshots.
+    every step, once that state's series row is logged (see `march`).
 
     conserve_phi2_mean holds the phi2 mean at exactly zero (initial state
     included). With phi1 = 0 and zero-mean data the discrete flow conserves
@@ -358,9 +395,7 @@ def run(
     pure-decay runs stay clean over hundreds of orders of magnitude. Only
     valid for phi1 = 0 and zero-mean phi2, where no source feeds the mean.
     """
-    grid = w.grid
     pins = pin_mask(w.rho)
-    factor = implicit_euler_factor(grid, dt)
 
     if conserve_phi2_mean:
         if np.any(state0.phi1 != 0.0):
@@ -375,36 +410,28 @@ def run(
         state0.dphi1_dt, state0.dphi2_dt, state0.cache = r1, r2, cache
 
     pre = _series_constants(state0, w)
-
     n_steps = int(round(t_final / dt))
     snap_every = max(1, int(round(snapshot_interval / dt)))
 
     series: dict[str, list] = {}
+    snapshots: list[FlowState] = []
+    snapshot_times: list[float] = []
+    counter = itertools.count()
 
-    def log_row(state):
-        row = _series_row(state, w, pre)
-        for key, val in row.items():
-            series.setdefault(key, []).append(val)
-
-    state = state0
-    log_row(state)
-    if step_callback is not None:
-        step_callback(state)
-    snapshots = [state.copy()]
-    snapshot_times = [0.0]
-
-    for i in range(1, n_steps + 1):
-        state = step(state, w, dt, pins, euler_factor=factor, step_index=i)
-        if conserve_phi2_mean:
+    def on_state(state):
+        i = next(counter)
+        if conserve_phi2_mean and i > 0:
             # constant shift: cached gradients/Laplacians stay exact
             state.phi2 -= float(state.phi2.mean())
-        log_row(state)
+        for key, val in _series_row(state, w, pre).items():
+            series.setdefault(key, []).append(val)
         if step_callback is not None:
             step_callback(state)
-        if i % snap_every == 0 or i == n_steps:
+        if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
-            snapshot_times.append(state.t)
+            snapshot_times.append(state.t if i > 0 else 0.0)
 
+    march(state0, w, dt, t_final, step_callback=on_state)
     return Trajectory(
         weight=w,
         dt=dt,

@@ -33,7 +33,7 @@ from singflow.analysis import (
     theta_decay_check,
 )
 from singflow.config import RunConfig, build_problem
-from singflow.flow import init_state, pin_mask, run
+from singflow.flow import init_state, march, pin_mask, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
     assemble_galerkin,
@@ -321,7 +321,7 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
         grid, _, rho, w = build_problem(dataclasses.replace(cfg, n=n))
         state0 = init_state(cfg.family, cfg.family_params, w)
         acc = BochnerAccumulator(w, pin_mask(rho))
-        run(state0, w, dt=dt, t_final=T, snapshot_interval=T, step_callback=acc)
+        march(state0, w, dt=dt, t_final=T, step_callback=acc)
         results[label] = {"violation": acc.worst, "bound": 10.0 * (dt + grid.spacing**2)}
     coarse, fine = results["coarse"], results["fine"]
     shrink = coarse["bound"] / fine["bound"]
@@ -442,8 +442,8 @@ def check_epsilon_regularity(cfg: RunConfig) -> list[dict]:
     )
     has_sigma = all(rec["sigma_x"] is not None for rec in scan0)
 
-    traj = run(state0, w, dt=1e-4, t_final=0.05, snapshot_interval=0.05)
-    scan_T = epsilon_regularity_scan(traj.final, w, centers)
+    final = march(state0, w, dt=1e-4, t_final=0.05)
+    scan_T = epsilon_regularity_scan(final, w, centers)
     min_slope = min(rec["slope"] for rec in scan_T)
     return [
         verdict("local_energy_slope_final", min_slope > 0.0, min_slope, 0.0, 0.0),

@@ -49,6 +49,16 @@ class WeightField:
     def _h_minus_2a(self) -> np.ndarray:
         return weight_power(self, -2.0 * self.alpha)
 
+    @cached_property
+    def alpha_grad_log_h(self) -> np.ndarray:
+        """alpha grad(h)/h, the weight's part of the phi1 drift velocity."""
+        return self.alpha * self.grad_log_h
+
+    @cached_property
+    def stencil_pad(self) -> np.ndarray:
+        """Scratch array one node wider per side than the grid, reused by the stepper's stencil."""
+        return np.empty(tuple(m + 2 for m in self.grid.shape))
+
     def metric_weight(self, phi2: np.ndarray) -> np.ndarray:
         """h^{-2a} e^{-2 phi2}, the target-metric weight on the phi1 direction."""
         return self._h_minus_2a * np.exp(-2.0 * phi2)

@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from singflow.flow import (
     implicit_euler_factor,
     init_state,
     initial_fields,
+    march,
     pin_mask,
     run,
     steady_residual,
@@ -317,3 +321,40 @@ class TestBitwiseAgainstOperators:
         assert set(traj.series) == set(rows[0])
         for col, got in traj.series.items():
             assert got == [row[col] for row in rows], col
+
+
+class TestMarch:
+    def test_final_state_and_callback_sequence_match_run(self, w16):
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        seen = {"march": [], "run": []}
+
+        def recorder(name):
+            return lambda st: seen[name].append((st.t, st.phi1.copy(), st.phi2.copy()))
+
+        final = march(st0, w16, dt=1e-4, t_final=3e-3, step_callback=recorder("march"))
+        traj = run(st0, w16, dt=1e-4, t_final=3e-3, snapshot_interval=1e-3, step_callback=recorder("run"))
+        for field in ("phi1", "phi2", "dphi1_dt", "dphi2_dt"):
+            assert np.array_equal(getattr(final, field), getattr(traj.final, field)), field
+        assert final.t == traj.final.t
+        assert len(seen["march"]) == len(seen["run"]) == 31
+        for (t_m, p1_m, p2_m), (t_r, p1_r, p2_r) in zip(seen["march"], seen["run"]):
+            assert t_m == t_r
+            assert np.array_equal(p1_m, p1_r)
+            assert np.array_equal(p2_m, p2_r)
+
+    def test_check_bochner_matches_run_with_accumulator(self):
+        from singflow.analysis import BochnerAccumulator
+        from singflow.config import build_problem, parse_config
+        from singflow.verify import check_bochner
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "acceptance.cfg")), n=8)
+        expected = []
+        for n, dt in ((8, 2e-4), (16, 1e-4)):
+            w = build_problem(dataclasses.replace(cfg, n=n))[3]
+            acc = BochnerAccumulator(w, pin_mask(w.rho))
+            st0 = init_state(cfg.family, cfg.family_params, w)
+            run(st0, w, dt=dt, t_final=0.04, snapshot_interval=0.04, step_callback=acc)
+            expected.append(acc.worst)
+        got = [v["measured"] for v in check_bochner(cfg)[:2]]
+        assert got == expected
