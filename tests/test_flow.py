@@ -140,12 +140,7 @@ class TestStep:
 
 def _advance(w, dt, T, family="poly_cutoff+trig", params=None):
     params = params or {"c": 0.5, "a": 0.05, "b": 0.05}
-    st = init_state(family, params, w)
-    pins = pin_mask(w.rho)
-    factor = implicit_euler_factor(w.grid, dt)
-    for i in range(int(round(T / dt))):
-        st = step(st, w, dt, pins, euler_factor=factor, step_index=i)
-    return st
+    return march(init_state(family, params, w), w, dt, T)
 
 
 class TestRun:
