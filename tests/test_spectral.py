@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
-from singflow.operators import exact_inner, gradient
+from singflow.operators import exact_inner, gradient, grid_inner
 from singflow.spectral import (
     GalerkinSystem,
     OdeBlowupError,
@@ -149,6 +149,37 @@ def brute_force_matrices(system: GalerkinSystem):
     return A, B, C, D
 
 
+def exact_inner_matrices(system: GalerkinSystem):
+    """The four Galerkin matrices entry by entry through `exact_inner`, and for
+    each entry the grid sum of the absolute values of the same products (the
+    scale that bounds the rounding of any summation order)."""
+    w = system.weight
+    vol = w.grid.cell_volume
+    wtil = w.metric_weight(system.phi0_2)
+    g0 = gradient(system.phi0_1, w.grid.spacing)
+    g0_sq = np.sum(g0 * g0, axis=0)
+    psi2, gpsi2 = system.basis.fields, system.basis.grads
+    psi1, gpsi1 = system.wbasis.fields, system.wbasis.grads
+    ones = np.ones(w.grid.shape)
+    N = system.N
+    exact = np.empty((4, N, N))
+    scale = np.empty((4, N, N))
+
+    def entry(f, g):
+        return exact_inner(f, g, vol), float(np.sum(np.abs(f * g))) * vol
+
+    for m in range(N):
+        for l in range(N):
+            a = entry(wtil * np.sum(gpsi1[l] * gpsi1[m], axis=0), ones)
+            b = entry(2.0 * np.sum(g0 * gpsi2[l], axis=0), wtil * psi1[m])
+            c_mass = entry(wtil * g0_sq * psi2[l], psi2[m])
+            c_grad = entry(np.sum(gpsi2[l] * gpsi2[m], axis=0), ones)
+            c = (2.0 * c_mass[0] + c_grad[0], 2.0 * c_mass[1] + c_grad[1])
+            d = entry(-2.0 * wtil * np.sum(g0 * gpsi1[l], axis=0), psi2[m])
+            exact[:, m, l], scale[:, m, l] = zip(a, b, c, d)
+    return exact, scale
+
+
 def rk4_oracle(system: GalerkinSystem, T: float, dt: float):
     """Tiny-step classical RK4 on the same 2N system with interpolated loads."""
     N = system.N
@@ -176,6 +207,73 @@ def rk4_oracle(system: GalerkinSystem, T: float, dt: float):
         k2 = rhs(t + dt / 2, c + dt / 2 * k1)
         k3 = rhs(t + dt / 2, c + dt / 2 * k2)
         k4 = rhs(t + dt, c + dt * k3)
+        c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    return c
+
+
+def loop_weak_residual(states, system, f1, f2, test_functions=None):
+    """Entry-by-entry weak residual: (defect, rows) with one grid sum per
+    stiffness entry. Holds the vectorized `weak_residual` to this loop."""
+    grid = system.weight.grid
+    vol = grid.cell_volume
+    s = grid.spacing
+    wtil = system.weight.metric_weight(system.phi0_2)
+    g0 = gradient(system.phi0_1, s)
+    g0_sq = np.sum(g0 * g0, axis=0)
+    test_basis, test_wbasis = test_functions or (system.basis, system.wbasis)
+    N = test_basis.size
+    wpsi1 = (wtil[None] * test_wbasis.fields).reshape(N, -1)
+    psi2 = test_basis.fields.reshape(N, -1)
+    ones = np.ones(grid.shape)
+
+    rows, times = [], []
+    for t, k1, k2 in states:
+        gk1 = gradient(k1, s)
+        gk2 = gradient(k2, s)
+        mass1 = vol * wpsi1 @ k1.ravel()
+        mass2 = vol * psi2 @ k2.ravel()
+        stiff1 = vol * np.array(
+            [grid_inner(wtil * np.sum(gk1 * test_wbasis.grads[m], axis=0), ones, 1.0) for m in range(N)]
+        )
+        coup1 = vol * wpsi1 @ (2.0 * np.sum(g0 * gk2, axis=0)).ravel()
+        load1 = vol * wpsi1 @ f1(float(t)).ravel()
+        stiff2 = vol * np.array(
+            [grid_inner(np.sum(gk2 * test_basis.grads[m], axis=0), ones, 1.0) for m in range(N)]
+        )
+        coup2 = vol * psi2 @ (2.0 * wtil * g0_sq * k2 - 2.0 * wtil * np.sum(g0 * gk1, axis=0)).ravel()
+        load2 = vol * psi2 @ f2(float(t)).ravel()
+        rows.append(np.concatenate([mass1, stiff1 + coup1 - load1, mass2, stiff2 + coup2 - load2]))
+        times.append(t)
+
+    rows = np.asarray(rows)
+    times = np.asarray(times)
+    n_steps = len(times) - 1
+    defect = 0.0
+    for idx in np.unique(np.linspace(1, n_steps, min(8, n_steps)).astype(int)):
+        tt = times[: idx + 1]
+        id1 = rows[idx, :N] + np.trapezoid(rows[: idx + 1, N : 2 * N], tt, axis=0)
+        id2 = rows[idx, 2 * N : 3 * N] + np.trapezoid(rows[: idx + 1, 3 * N :], tt, axis=0)
+        defect = max(defect, float(np.max(np.abs(id1))), float(np.max(np.abs(id2))))
+    return defect, rows
+
+
+def scalar_interp_rk4(system, T, dt):
+    """RK4 with one scalar np.interp per load entry and visited time."""
+    N = system.N
+    M = system.block_matrix()
+    F = np.concatenate([system.F1, system.F2], axis=1)
+
+    def load(t):
+        return np.array([np.interp(t, system.times, F[:, j]) for j in range(2 * N)])
+
+    c = np.zeros(2 * N)
+    t = 0.0
+    for _ in range(int(round(T / dt))):
+        k1 = load(t) - M @ c
+        k2 = load(t + dt / 2) - M @ (c + dt / 2 * k1)
+        k3 = load(t + dt / 2) - M @ (c + dt / 2 * k2)
+        k4 = load(t + dt) - M @ (c + dt * k3)
         c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         t += dt
     return c
@@ -215,6 +313,20 @@ class TestAssembly:
         for got, want in ((system4.A, A), (system4.B, B), (system4.C, C), (system4.D, D)):
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("N", [4, 8])
+    def test_matrices_match_exact_inner_to_rounding(self, grid, w16, N):
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        sysN = assemble_galerkin(
+            phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, np.array([0.0, 0.1])
+        )
+        # a summation order other than fsum's moves an entry by a few eps times
+        # the sum of its |products|; D at N = 4 cancels 31-fold, so a bound in
+        # ulps of the largest entry would reject round-off
+        exact, scale = exact_inner_matrices(sysN)
+        for got, want, size in zip((sysN.A, sysN.B, sysN.C, sysN.D), exact, scale):
+            assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * size)
+
 
 class TestIntegration:
     def test_zero_forcing_stays_zero(self, grid, w16):
@@ -248,6 +360,12 @@ class TestIntegration:
         oracle = rk4_oracle(system4, T=0.3, dt=1e-5)
         got = np.concatenate([system4.C1[-1], system4.C2[-1]])
         assert np.max(np.abs(got - oracle)) < 1e-6
+
+    def test_battery_rk4_reference_matches_scalar_interp(self, system4):
+        from singflow.verify import _rk4_reference
+
+        got = _rk4_reference(system4, T=0.01, dt=1e-4)
+        assert np.array_equal(got, scalar_interp_rk4(system4, T=0.01, dt=1e-4))
 
     def test_blowup_reported(self):
         # A close to -2/dt: the trapezoidal growth factor is ~ -4e7 per step
@@ -327,6 +445,22 @@ class TestWeakResidual:
             )
         assert defects[8] < defects[4]
 
+    @pytest.mark.parametrize("wider_tests", [False, True])
+    def test_matches_entry_by_entry_loop(self, grid, w16, wider_tests):
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        times = np.arange(0.0, 0.02 + 1e-12, 1e-3)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, times)
+        integrate_ode(sysA, T=0.02, dt=1e-3)
+        tests = None
+        if wider_tests:
+            test_basis = build_basis(grid, 8)
+            tests = (test_basis, build_weighted_basis(test_basis, w16, phi0_2))
+        states = list(galerkin_states(sysA))
+        want, rows = loop_weak_residual(states, sysA, f1, f2, tests)
+        got = weak_residual(states, sysA, f1, f2, test_functions=tests)
+        assert abs(got - want) <= 1e-13 * np.max(np.abs(rows))
+
     def test_grid_stepper_cross_solver(self, grid, w16):
         # the linearized grid IMEX solution satisfies the same weak identities
         # up to O(dt^2 + spacing^2)
@@ -356,6 +490,21 @@ class TestEnergyEstimate:
             assert np.isfinite(lhs) and rhs > 0
             ratios.append(lhs / rhs)
         assert max(ratios) <= 2.0 * min(ratios)
+
+
+class TestForcing:
+    def test_trig_damped_matches_closed_form(self, grid, w16):
+        from singflow.cli import galerkin_forcing
+
+        f1, f2 = galerkin_forcing("trig_damped", grid, w16.rho)
+        x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
+        L = grid.length
+        damp = w16.rho.rho_unclamped**2.5
+        for t in (0.0, 0.03, 0.25, 1.7):
+            want1 = damp * np.sin(2 * np.pi * x1 / L) * np.cos(2 * np.pi * x3 / L) * math.exp(-t)
+            want2 = np.cos(2 * np.pi * x2 / L) * (1.0 + 0.3 * math.sin(3.0 * t))
+            assert np.array_equal(f1(t), want1)
+            assert np.array_equal(f2(t), want2)
 
 
 class TestPoincare:
