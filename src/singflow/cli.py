@@ -112,13 +112,15 @@ def galerkin_forcing(name: str, grid, rho):
     x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
     L = grid.length
     if name == "trig_damped":
-        damp = rho.rho_unclamped**2.5
+        # the spatial factors, evaluated once in the order the closed form multiplies them
+        space1 = rho.rho_unclamped**2.5 * np.sin(2 * np.pi * x1 / L) * np.cos(2 * np.pi * x3 / L)
+        space2 = np.cos(2 * np.pi * x2 / L)
 
         def f1(t):
-            return damp * np.sin(2 * np.pi * x1 / L) * np.cos(2 * np.pi * x3 / L) * math.exp(-t)
+            return space1 * math.exp(-t)
 
         def f2(t):
-            return np.cos(2 * np.pi * x2 / L) * (1.0 + 0.3 * math.sin(3.0 * t))
+            return space2 * (1.0 + 0.3 * math.sin(3.0 * t))
 
         return f1, f2
     if name == "zero":

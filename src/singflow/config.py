@@ -159,6 +159,15 @@ def _validate(cfg: RunConfig, errors: list[str]):
         errors.append(f"[galerkin] N = {cfg.galerkin_N}: must be at least 1")
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:
         errors.append("[galerkin] dt and t_final must be positive")
+    else:
+        # the ODE takes round(t_final/dt) steps; a remainder would stop it short of t_final
+        ratio = cfg.galerkin_t_final / cfg.galerkin_dt
+        steps = round(ratio)
+        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
+            errors.append(
+                f"[galerkin] t_final = {cfg.galerkin_t_final}: must be a whole multiple "
+                f"of dt = {cfg.galerkin_dt} (t_final/dt = {ratio:.6g})"
+            )
     if cfg.holder_pairs < 1:
         errors.append(f"[analysis] holder_pairs = {cfg.holder_pairs}: must be positive")
     if not (0 < cfg.rate_slack <= 1):

@@ -176,27 +176,31 @@ def _brute_force_matrices(system):
     return A, B, C, D
 
 
-def _rk4_reference(system, T, dt):
-    N = system.N
-    M = system.block_matrix()
+def _rk4_loads(system, T, dt):
+    """Interpolated loads at the times the RK4 loop visits, shape (steps, 3, 2N).
 
-    F = np.zeros((len(system.times), 2 * N))
-    F[:, :N] = system.F1
-    F[:, N:] = system.F2
-
-    def load(t):
-        return np.array([np.interp(t, system.times, F[:, j]) for j in range(2 * N)])
-
-    c = np.zeros(2 * N)
-    t = 0.0
+    Entry [i, j] is the load at t_i, t_i + dt/2 and t_i + dt (j = 0, 1, 2),
+    with t_i accumulated as t += dt, the same values the loop computes.
+    """
     steps = int(round(T / dt))
-    for _ in range(steps):
-        k1 = load(t) - M @ c
-        k2 = load(t + dt / 2) - M @ (c + dt / 2 * k1)
-        k3 = load(t + dt / 2) - M @ (c + dt / 2 * k2)
-        k4 = load(t + dt) - M @ (c + dt * k3)
-        c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    visited = np.empty((steps, 3))
+    t = 0.0
+    for i in range(steps):
+        visited[i] = (t, t + dt / 2, t + dt)
         t += dt
+    F = np.concatenate([system.F1, system.F2], axis=1)
+    return np.stack([np.interp(visited, system.times, col) for col in F.T], axis=-1)
+
+
+def _rk4_reference(system, T, dt):
+    M = system.block_matrix()
+    c = np.zeros(M.shape[0])
+    for load_t, load_mid, load_end in _rk4_loads(system, T, dt):
+        k1 = load_t - M @ c
+        k2 = load_mid - M @ (c + dt / 2 * k1)
+        k3 = load_mid - M @ (c + dt / 2 * k2)
+        k4 = load_end - M @ (c + dt * k3)
+        c = c + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
 
 

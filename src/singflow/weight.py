@@ -29,9 +29,13 @@ class WeightSourceWarning(UserWarning):
     """Discrete Poisson source failed a consistency check."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightField:
-    """h = rho e^u and derived quantities used by the flow operators."""
+    """h = rho e^u and derived quantities used by the flow operators.
+
+    Frozen, so the cached fields derived from it cannot go stale; use
+    dataclasses.replace for a variant (it starts with an empty cache).
+    """
 
     grid: TorusGrid
     rho: DistanceField

@@ -41,6 +41,17 @@ class TestConfigParsing:
             parse_config_text(MINIMAL + "\n[weight]\nsolver_tol = 0\n")
         assert err.value.errors == ["[weight] solver_tol = 0.0: must be positive"]
 
+    def test_galerkin_t_final_must_be_a_multiple_of_dt(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "\n[galerkin]\ndt = 0.1\nt_final = 0.25\n")
+        assert err.value.errors == [
+            "[galerkin] t_final = 0.25: must be a whole multiple of dt = 0.1 (t_final/dt = 2.5)"
+        ]
+        # quotients a rounding error away from a whole number are accepted
+        for dt, t_final in ((2e-4, 0.3), (2e-4, 0.06), (1e-3, 0.1)):
+            cfg = parse_config_text(MINIMAL + f"\n[galerkin]\ndt = {dt}\nt_final = {t_final}\n")
+            assert cfg.galerkin_t_final == t_final
+
     def test_duplicate_key_reports_both_lines(self):
         text = "[grid]\nn = 16\nn = 32\n"
         with pytest.raises(ConfigError) as err:

@@ -362,10 +362,18 @@ class TestIntegration:
         assert np.max(np.abs(got - oracle)) < 1e-6
 
     def test_battery_rk4_reference_matches_scalar_interp(self, system4):
-        from singflow.verify import _rk4_reference
+        from singflow.verify import _rk4_loads, _rk4_reference
 
-        got = _rk4_reference(system4, T=0.01, dt=1e-4)
-        assert np.array_equal(got, scalar_interp_rk4(system4, T=0.01, dt=1e-4))
+        T, dt = 0.01, 1e-4
+        assert np.array_equal(_rk4_reference(system4, T, dt), scalar_interp_rk4(system4, T, dt))
+        F = np.concatenate([system4.F1, system4.F2], axis=1)
+        table = _rk4_loads(system4, T, dt)
+        assert table.shape == (100, 3, 2 * system4.N)
+        t = 0.0
+        for row in table:
+            for load, tj in zip(row, (t, t + dt / 2, t + dt)):
+                assert np.array_equal(load, [np.interp(tj, system4.times, col) for col in F.T])
+            t += dt
 
     def test_blowup_reported(self):
         # A close to -2/dt: the trapezoidal growth factor is ~ -4e7 per step

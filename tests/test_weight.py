@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,12 +151,20 @@ class TestAssembleWeight:
             assemble_weight(rho, np.zeros(grid.shape), alpha=0.5)
 
 
+    def test_fields_are_frozen(self):
+        w = axis_weight(8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.log_h = np.zeros(w.grid.shape)
+        # the cached derived fields still compute once and are reused
+        assert w.alpha_grad_log_h is w.alpha_grad_log_h
+
+
 class TestHarmonicity:
     def test_h_equal_one_gives_zero(self):
         grid = TorusGrid(16, 1.0)
         rho = distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5))
         w = assemble_weight(rho, np.zeros(grid.shape), alpha=1.5)
-        w.log_h = np.zeros(grid.shape)
+        w = dataclasses.replace(w, log_h=np.zeros(grid.shape))
         assert harmonicity_residual(w, 2 * grid.spacing) == 0.0
 
     def test_log_rho_residual_second_order(self):
