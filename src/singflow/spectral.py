@@ -17,9 +17,10 @@ full block matrix (the couplings are mild at the truncations used here and
 folding them into the implicit solve costs nothing at 2N <= a few dozen).
 
 The matrix entries are pairwise sums of the same pointwise products that the
-fsum reference `operators.exact_inner` takes. Against it, each entry lies
-within 1.05 eps times the sum of its |products| (n in {16, 32}, N up to 16),
-at most 1.2e-13 absolute; entries that cancel sit further from the fsum value
+fsum reference `operators.exact_inner` takes. Against it, on the tests'
+smooth data (n in {16, 32}, N up to 16), each entry lies within 1.05 eps
+times the sum of its |products|, at most 1.2e-13 absolute; entries that
+cancel sit further from the fsum value
 in ulps of their own size (D at n = 32, N = 4: 49.5 ulps of its largest entry,
 2.2e-14 absolute). The brute-force quadrature oracle of the battery holds
 them to 1e-12.
