@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from singflow.flow import FlowState, Trajectory
+from singflow.flow import FlowState, StepState, Trajectory
 from singflow.geometry import stencil_clear
-from singflow.norms import cstar2_norm
+from singflow.norms import cstar2_norm, theta_field
 from singflow.operators import laplacian, stencil_symbol
 from singflow.weight import WeightField
 
@@ -118,9 +118,7 @@ def tension_bound(state0: FlowState, w: WeightField) -> float:
     Along the flow the tension equals the time derivative, so |tau(Phi0)| is
     sqrt(theta) at t = 0.
     """
-    from singflow.norms import theta_field
-
-    theta0 = theta_field(state0.phi2, state0.dphi1_dt, state0.dphi2_dt, w)
+    theta0 = theta_field(w.metric_weight(state0.phi2), state0.dphi1_dt, state0.dphi2_dt)
     return float(np.sqrt(np.max(theta0)))
 
 
@@ -164,16 +162,13 @@ class BochnerAccumulator:
     """
 
     def __init__(self, w: WeightField, pins: np.ndarray):
-        from singflow.norms import theta_field
-
-        self._theta_field = theta_field
         self.w = w
         self.mask = stencil_clear(pins) & (w.rho.rho_unclamped > 2.0 * w.grid.spacing)
         self.window: list[tuple[float, np.ndarray]] = []
         self.worst = -math.inf
 
-    def __call__(self, state: FlowState):
-        theta = self._theta_field(state.phi2, state.dphi1_dt, state.dphi2_dt, self.w)
+    def __call__(self, state: StepState):
+        theta = theta_field(state.wtil, state.dphi1_dt, state.dphi2_dt)
         self.window.append((state.t, theta))
         if len(self.window) > 3:
             self.window.pop(0)

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from singflow.config import ConfigError, RunConfig, build_problem, parse_config
+from singflow.config import ConfigError, RunConfig, build_problem, parse_config, whole_steps
 from singflow.flow import SERIES_COLUMNS
 from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
 
@@ -88,7 +88,12 @@ def cmd_run(cfg: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     grid, gamma, rho, w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
-    dt = cfg.dt if cfg.dt_policy == "fixed" else min(cfg.dt, cfl_dt(state0, w, cfg.cfl_factor))
+    dt = cfg.dt  # a whole fraction of t_final under dt_policy = fixed (see config)
+    if cfg.dt_policy == "cfl":
+        dt = min(dt, cfl_dt(state0, w, cfg.cfl_factor))
+        if whole_steps(cfg.t_final, dt) is None:
+            # shrink dt so that whole steps end exactly at t_final
+            dt = cfg.t_final / math.ceil(cfg.t_final / dt)
     traj = run(state0, w, dt=dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
 
     _write_series(out_dir, traj)
@@ -196,7 +201,7 @@ def _load_series(run_dir: str):
 
 def cmd_analyze(run_dir: str) -> int:
     from singflow.analysis import check_max_principle, exponent_fit, fit_decay_rate_log
-    from singflow.flow import FlowState, Trajectory, pin_mask
+    from singflow.flow import FlowState, Trajectory
     from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
     from singflow.operators import stencil_symbol
 
@@ -232,12 +237,7 @@ def cmd_analyze(run_dir: str) -> int:
     series = _load_series(run_dir)
 
     traj = Trajectory(
-        weight=w,
-        dt=summary["dt_used"],
-        pins=pin_mask(rho),
-        series={k: list(v) for k, v in series.items()},
-        snapshots=states,
-        snapshot_times=[s.t for s in snaps],
+        dt=summary["dt_used"], series={k: list(v) for k, v in series.items()}, snapshots=states
     )
 
     reports: dict = {"decay": [], "bounds": [], "norms": []}

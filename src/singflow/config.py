@@ -131,6 +131,22 @@ def _convert(raw: str, kind: str):
     return raw
 
 
+def whole_steps(t_final: float, dt: float) -> int | None:
+    """round(t_final / dt) when t_final is a whole multiple of dt (relative
+    tolerance 1e-9), else None. The steppers take round(t_final / dt) steps,
+    so a remainder would end them short of or past t_final."""
+    ratio = t_final / dt
+    steps = round(ratio)
+    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
+
+
+def _off_grid(section: str, t_final: float, dt: float) -> str:
+    return (
+        f"[{section}] t_final = {t_final}: must be a whole multiple "
+        f"of dt = {dt} (t_final/dt = {t_final / dt:.6g})"
+    )
+
+
 def _validate(cfg: RunConfig, errors: list[str]):
     if cfg.alpha <= 1.0:
         errors.append(f"[weight] alpha = {cfg.alpha}: alpha must exceed 1 (weight regime alpha > 1)")
@@ -153,21 +169,17 @@ def _validate(cfg: RunConfig, errors: list[str]):
     for name in ("dt", "t_final", "snapshot_interval", "cfl_factor"):
         if getattr(cfg, name) <= 0:
             errors.append(f"[flow] {name} = {getattr(cfg, name)}: must be positive")
+    if cfg.dt_policy == "fixed" and cfg.dt > 0 and cfg.t_final > 0:
+        if whole_steps(cfg.t_final, cfg.dt) is None:
+            errors.append(_off_grid("flow", cfg.t_final, cfg.dt))
     if cfg.solver_tol <= 0:
         errors.append(f"[weight] solver_tol = {cfg.solver_tol}: must be positive")
     if cfg.galerkin_N < 1:
         errors.append(f"[galerkin] N = {cfg.galerkin_N}: must be at least 1")
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:
         errors.append("[galerkin] dt and t_final must be positive")
-    else:
-        # the ODE takes round(t_final/dt) steps; a remainder would stop it short of t_final
-        ratio = cfg.galerkin_t_final / cfg.galerkin_dt
-        steps = round(ratio)
-        if steps < 1 or abs(ratio - steps) > 1e-9 * steps:
-            errors.append(
-                f"[galerkin] t_final = {cfg.galerkin_t_final}: must be a whole multiple "
-                f"of dt = {cfg.galerkin_dt} (t_final/dt = {ratio:.6g})"
-            )
+    elif whole_steps(cfg.galerkin_t_final, cfg.galerkin_dt) is None:
+        errors.append(_off_grid("galerkin", cfg.galerkin_t_final, cfg.galerkin_dt))
     if cfg.holder_pairs < 1:
         errors.append(f"[analysis] holder_pairs = {cfg.holder_pairs}: must be positive")
     if not (0 < cfg.rate_slack <= 1):

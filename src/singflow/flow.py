@@ -4,10 +4,16 @@ Each step treats diffusion implicitly (backward Euler, diagonalized with the
 exact 7-point symbol in Fourier space, so a pure heat mode decays by exactly
 1/(1 + dt*lambda) per step) and the drift and source explicitly. After every
 update phi1 is re-pinned to zero on the near-curve ring, the grid reading of
-the boundary condition on the measure-zero curve. The cached time derivatives
-on a state are the plain PDE right-hand sides evaluated there, except that
-dphi1/dt is zero on the pinned ring: the ring is the grid's copy of the curve,
-where phi1 is held at zero for all time.
+the boundary condition on the measure-zero curve.
+
+A `FlowState` is a frozen record of the pair, its time and its time
+derivatives. The derivatives are the plain PDE right-hand sides evaluated
+there, except that dphi1/dt is zero on the pinned ring: the ring is the
+grid's copy of the curve, where phi1 is held at zero for all time. The
+stepper hands out `StepState`s, which also carry the gradients, Laplacians
+and metric weight those right-hand sides were built from; `derive_state` is
+the one place that computes them, so the next step and the diagnostics row
+read them instead of recomputing them.
 
 Time is diffusive (no rescaling), so measured decay rates compare directly
 with the stencil eigenvalues.
@@ -50,20 +56,35 @@ def heat_solve(f: np.ndarray, factor: np.ndarray, shape) -> np.ndarray:
     return np.fft.irfftn(np.fft.rfftn(f, axes=(0, 1, 2)) * factor, s=shape, axes=(0, 1, 2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
     phi1: np.ndarray
     phi2: np.ndarray
     t: float
     dphi1_dt: np.ndarray
     dphi2_dt: np.ndarray
-    cache: dict | None = None  # operator intermediates for the next step / diagnostics
 
     def copy(self) -> "FlowState":
-        # snapshot copies drop the cache
+        """A plain record with copied arrays (what snapshots keep)."""
         return FlowState(
             self.phi1.copy(), self.phi2.copy(), self.t, self.dphi1_dt.copy(), self.dphi2_dt.copy()
         )
+
+
+@dataclass(frozen=True)
+class StepState(FlowState):
+    """A FlowState plus the stencil fields its time derivatives were built from.
+
+    Only `derive_state` builds one, so the derived fields always belong to
+    phi1 and phi2. To change a field, build a new state rather than using
+    dataclasses.replace, which would carry the old derived fields along.
+    """
+
+    grad1: np.ndarray
+    grad2: np.ndarray
+    lap1: np.ndarray
+    lap2: np.ndarray
+    wtil: np.ndarray  # h^{-2a} e^{-2 phi2}
 
 
 def smooth_cutoff(rho: np.ndarray, L: float) -> np.ndarray:
@@ -158,34 +179,24 @@ def _grad_and_lap(f: np.ndarray, w: WeightField):
     return grad, lap
 
 
-def _rhs_with_grads(phi1, phi2, w: WeightField):
-    g1, lap1 = _grad_and_lap(phi1, w)
-    g2, lap2 = _grad_and_lap(phi2, w)
-    v = g2 + w.alpha_grad_log_h
+def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
+    """The state at (phi1, phi2, t) with its right-hand sides and stencil fields."""
+    grad1, lap1 = _grad_and_lap(phi1, w)
+    grad2, lap2 = _grad_and_lap(phi2, w)
+    v = grad2 + w.alpha_grad_log_h
     wtil = w.metric_weight(phi2)
-    r1 = lap1 - 2.0 * np.sum(v * g1, axis=0)
-    r2 = lap2 + wtil * np.sum(g1 * g1, axis=0)
-    # the identity keys let consumers detect a stale cache after field mutation
-    cache = {
-        "g1": g1,
-        "g2": g2,
-        "wtil": wtil,
-        "lap1": lap1,
-        "lap2": lap2,
-        "_phi1": phi1,
-        "_phi2": phi2,
-    }
-    return r1, r2, cache
+    r1 = lap1 - 2.0 * np.sum(v * grad1, axis=0)
+    r2 = lap2 + wtil * np.sum(grad1 * grad1, axis=0)
+    r1[pins] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
+    return StepState(phi1, phi2, t, r1, r2, grad1, grad2, lap1, lap2, wtil)
 
 
-def init_state(family: str, params: dict, w: WeightField) -> FlowState:
+def init_state(family: str, params: dict, w: WeightField) -> StepState:
     phi1, phi2 = initial_fields(family, params, w)
     phi1 = phi1.copy()
     pins = pin_mask(w.rho)
     phi1[pins] = 0.0
-    r1, r2, cache = _rhs_with_grads(phi1, phi2, w)
-    r1[pins] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
-    return FlowState(phi1=phi1, phi2=phi2, t=0.0, dphi1_dt=r1, dphi2_dt=r2, cache=cache)
+    return derive_state(phi1, phi2, 0.0, w, pins)
 
 
 def cfl_dt(state: FlowState, w: WeightField, cfl_factor: float) -> float:
@@ -204,21 +215,16 @@ def step(
     pins: np.ndarray,
     euler_factor: np.ndarray | None = None,
     step_index: int = 0,
-) -> FlowState:
+) -> StepState:
     """One IMEX step: explicit drift/source, implicit diffusion, re-pin."""
     grid = w.grid
     if euler_factor is None:
         euler_factor = implicit_euler_factor(grid, dt)
     s = grid.spacing
 
-    cache_ok = (
-        state.cache is not None
-        and state.cache.get("_phi1") is state.phi1
-        and state.cache.get("_phi2") is state.phi2
-    )
-    if cache_ok:
-        lap1, lap2 = state.cache["lap1"], state.cache["lap2"]
-    else:
+    if isinstance(state, StepState):
+        lap1, lap2 = state.lap1, state.lap2
+    else:  # a plain record, e.g. read back from a snapshot
         lap1 = laplacian(state.phi1, s)
         lap2 = laplacian(state.phi2, s)
     explicit1 = state.dphi1_dt - lap1  # = -drift (zero drift reported on pins)
@@ -234,9 +240,7 @@ def step(
         v = gradient(state.phi2, s) + w.alpha_grad_log_h
         raise FlowBlowupError(step_index, float(np.max(np.sqrt(np.sum(v * v, axis=0)))))
 
-    r1, r2, cache = _rhs_with_grads(phi1, phi2, w)
-    r1[pins] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
-    return FlowState(phi1=phi1, phi2=phi2, t=state.t + dt, dphi1_dt=r1, dphi2_dt=r2, cache=cache)
+    return derive_state(phi1, phi2, state.t + dt, w, pins)
 
 
 SERIES_COLUMNS = (
@@ -252,12 +256,13 @@ SERIES_COLUMNS = (
 
 @dataclass
 class Trajectory:
-    weight: WeightField
     dt: float
-    pins: np.ndarray
     series: dict  # column -> list of floats, plus log/sup extras
     snapshots: list[FlowState]
-    snapshot_times: list[float]
+
+    @property
+    def snapshot_times(self) -> list[float]:
+        return [st.t for st in self.snapshots]
 
     @property
     def initial(self) -> FlowState:
@@ -281,8 +286,8 @@ def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
     The pinned ring is excluded from the first residual; there the discrete
     solution satisfies the curve condition instead of the bulk equation.
     """
-    r1, r2, _ = _rhs_with_grads(state.phi1, state.phi2, w)
-    r1[pin_mask(w.rho)] = 0.0
+    derived = derive_state(state.phi1, state.phi2, state.t, w, pin_mask(w.rho))
+    r1, r2 = derived.dphi1_dt, derived.dphi2_dt
     rho = w.rho.rho
     a = w.alpha
     return (
@@ -307,24 +312,12 @@ def _series_constants(state0: FlowState, w: WeightField) -> dict:
     }
 
 
-def _series_row(state: FlowState, w: WeightField, pre: dict):
+def _series_row(state: StepState, w: WeightField, pre: dict):
     from singflow.norms import hyperbolic_distance
 
-    grid = w.grid
-    vol = grid.cell_volume
+    vol = w.grid.cell_volume
     r1, r2 = state.dphi1_dt, state.dphi2_dt
-    s = grid.spacing
-    cache_ok = (
-        state.cache is not None
-        and state.cache.get("_phi1") is state.phi1
-        and state.cache.get("_phi2") is state.phi2
-    )
-    if cache_ok:
-        g1, g2, wtil = state.cache["g1"], state.cache["g2"], state.cache["wtil"]
-    else:
-        g1 = gradient(state.phi1, s)
-        g2 = gradient(state.phi2, s)
-        wtil = w.metric_weight(state.phi2)
+    g1, g2, wtil = state.grad1, state.grad2, state.wtil
 
     H = float(np.sum(wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0))) * vol
     theta = wtil * r1 * r1 + r2 * r2
@@ -354,7 +347,7 @@ def _series_row(state: FlowState, w: WeightField, pre: dict):
 
 def march(
     state0: FlowState, w: WeightField, dt: float, t_final: float, step_callback=None
-) -> FlowState:
+) -> StepState:
     """Take round(t_final / dt) steps from state0 and return the final state.
 
     step_callback(state), when given, runs on the initial state and after
@@ -374,7 +367,7 @@ def march(
 
 
 def run(
-    state0: FlowState,
+    state0: StepState,
     w: WeightField,
     dt: float,
     t_final: float,
@@ -403,11 +396,7 @@ def run(
         mean0 = float(state0.phi2.mean())
         if abs(mean0) > 1e-12 * max(1.0, float(np.max(np.abs(state0.phi2)))):
             raise ValueError("conserve_phi2_mean requires zero-mean initial phi2")
-        state0 = state0.copy()
-        state0.phi2 -= mean0
-        r1, r2, cache = _rhs_with_grads(state0.phi1, state0.phi2, w)
-        r1[pins] = 0.0
-        state0.dphi1_dt, state0.dphi2_dt, state0.cache = r1, r2, cache
+        state0 = derive_state(state0.phi1, state0.phi2 - mean0, state0.t, w, pins)
 
     pre = _series_constants(state0, w)
     n_steps = int(round(t_final / dt))
@@ -415,28 +404,21 @@ def run(
 
     series: dict[str, list] = {}
     snapshots: list[FlowState] = []
-    snapshot_times: list[float] = []
     counter = itertools.count()
 
     def on_state(state):
         i = next(counter)
         if conserve_phi2_mean and i > 0:
-            # constant shift: cached gradients/Laplacians stay exact
-            state.phi2 -= float(state.phi2.mean())
+            # constant shift: derived gradients/Laplacians stay exact, and
+            # wtil only multiplies |grad phi1|^2 = 0
+            phi2 = state.phi2
+            phi2 -= float(phi2.mean())
         for key, val in _series_row(state, w, pre).items():
             series.setdefault(key, []).append(val)
         if step_callback is not None:
             step_callback(state)
         if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
-            snapshot_times.append(state.t if i > 0 else 0.0)
 
     march(state0, w, dt, t_final, step_callback=on_state)
-    return Trajectory(
-        weight=w,
-        dt=dt,
-        pins=pins,
-        series=series,
-        snapshots=snapshots,
-        snapshot_times=snapshot_times,
-    )
+    return Trajectory(dt=dt, series=series, snapshots=snapshots)

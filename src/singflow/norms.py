@@ -48,11 +48,9 @@ def energy_H(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> float:
     return float(np.sum(density)) * w.grid.cell_volume
 
 
-def theta_field(
-    phi2: np.ndarray, dphi1_dt: np.ndarray, dphi2_dt: np.ndarray, w: WeightField
-) -> np.ndarray:
-    """Squared target-metric speed: h^{-2a} e^{-2 phi2} |dphi1|^2 + |dphi2|^2."""
-    wtil = w.metric_weight(phi2)
+def theta_field(wtil: np.ndarray, dphi1_dt: np.ndarray, dphi2_dt: np.ndarray) -> np.ndarray:
+    """Squared target-metric speed wtil |dphi1|^2 + |dphi2|^2, for the metric
+    weight wtil = h^{-2a} e^{-2 phi2} (`WeightField.metric_weight`)."""
     return wtil * dphi1_dt**2 + dphi2_dt**2
 
 
@@ -185,7 +183,7 @@ def local_energy_E(
     g1 = gradient(phi1, s)
     g2 = gradient(phi2, s)
     grad_density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
-    time_density = theta_field(phi2, dphi1_dt, dphi2_dt, w)
+    time_density = theta_field(wtil, dphi1_dt, dphi2_dt)
     f_sig = float(np.sum(grad_density[mask])) * grid.cell_volume / sigma
     g_sig = float(np.sum(time_density[mask])) * grid.cell_volume * sigma
     return f_sig, g_sig, f_sig + g_sig

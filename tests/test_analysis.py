@@ -15,7 +15,7 @@ from singflow.analysis import (
     tension_bound,
     theta_decay_check,
 )
-from singflow.flow import init_state, pin_mask, run
+from singflow.flow import derive_state, init_state, pin_mask, run
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import stencil_symbol
 from singflow.weight import build_weight
@@ -93,10 +93,7 @@ class TestFitDecayRate:
 class TestMaxPrinciple:
     def test_zero_tension_stationary_data(self, w16):
         st = init_state("zero", {}, w16)
-        st.phi2 = np.full(w16.grid.shape, 0.4)
-        from singflow.operators import flow_rhs
-
-        st.dphi1_dt, st.dphi2_dt = flow_rhs(st.phi1, st.phi2, w16)
+        st = derive_state(st.phi1, np.full(w16.grid.shape, 0.4), st.t, w16, pin_mask(w16.rho))
         assert tension_bound(st, w16) < 1e-10
         traj = run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005)
         reports = check_max_principle(traj, w16)

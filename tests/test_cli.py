@@ -52,6 +52,16 @@ class TestConfigParsing:
             cfg = parse_config_text(MINIMAL + f"\n[galerkin]\ndt = {dt}\nt_final = {t_final}\n")
             assert cfg.galerkin_t_final == t_final
 
+    def test_flow_t_final_must_be_a_multiple_of_fixed_dt(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL.replace("t_final = 0.01", "t_final = 0.0105"))
+        assert err.value.errors == [
+            "[flow] t_final = 0.0105: must be a whole multiple of dt = 0.001 (t_final/dt = 10.5)"
+        ]
+        # dt_policy = cfl picks its own dt, so only the fixed policy is checked
+        text = MINIMAL.replace("t_final = 0.01", "t_final = 0.0105\ndt_policy = cfl")
+        assert parse_config_text(text).t_final == 0.0105
+
     def test_duplicate_key_reports_both_lines(self):
         text = "[grid]\nn = 16\nn = 32\n"
         with pytest.raises(ConfigError) as err:
@@ -152,6 +162,18 @@ class TestCmdRun:
         assert snap.n == (16, 16, 16)
         assert snap.alpha == 1.5
         assert set(snap.fields) == {"phi1", "phi2", "dphi1_dt", "dphi2_dt"}
+
+
+    def test_cfl_dt_ends_exactly_at_t_final(self, tmp_path):
+        text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
+        cfg = parse_config_text(text)
+        out = tmp_path / "run"
+        assert cmd_run(cfg, str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        dt_used, steps = summary["dt_used"], summary["steps"]
+        assert dt_used < cfg.dt
+        assert dt_used == cfg.t_final / steps
+        assert summary["final_time"] == pytest.approx(cfg.t_final, rel=1e-12)
 
 
 class TestCmdAnalyze:

@@ -8,7 +8,9 @@ from singflow import flow
 from singflow.flow import (
     FlowBlowupError,
     FlowState,
+    StepState,
     cfl_dt,
+    derive_state,
     heat_solve,
     implicit_euler_factor,
     init_state,
@@ -92,8 +94,8 @@ class TestStep:
         x1 = np.broadcast_to(grid.coords[0], grid.shape)
         mode = np.sin(2 * np.pi * x1).copy()
         st = init_state("zero", {}, w16)
-        st.phi2 = 0.4 * mode
-        st.dphi1_dt, st.dphi2_dt = flow_rhs(st.phi1, st.phi2, w16)
+        phi2 = 0.4 * mode
+        st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
         dt = 1e-3
         lam = stencil_symbol((1, 0, 0), grid)
         pins = pin_mask(w16.rho)
@@ -129,9 +131,30 @@ class TestStep:
         assert np.max(np.abs(st.dphi1_dt[pins])) == 0.0
         assert np.max(np.abs(st.dphi2_dt - r2)) < 1e-12
 
+    def test_fields_are_frozen(self, w16):
+        st = init_state("trig", {"a": 0.3, "b": 0.2}, w16)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.phi2 = np.zeros(w16.grid.shape)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.copy().phi2 = np.zeros(w16.grid.shape)
+
+    def test_plain_record_steps_like_step_state(self, w16):
+        # a record read back from a snapshot takes its Laplacians from operators.py
+        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        record = FlowState(st.phi1, st.phi2, st.t, st.dphi1_dt, st.dphi2_dt)
+        pins = pin_mask(w16.rho)
+        for _ in range(3):
+            st = step(st, w16, 1e-4, pins)
+            record = step(record, w16, 1e-4, pins)
+            for name in ("phi1", "phi2", "dphi1_dt", "dphi2_dt"):
+                assert np.array_equal(getattr(st, name), getattr(record, name)), name
+            assert st.t == record.t
+            record = record.copy()
+
     def test_blowup_raises(self, w16):
         st = init_state("trig", {"a": 0.3, "b": 0.2}, w16)
-        st.phi2 = st.phi2 * 1e308  # force immediate overflow in exp(-2 phi2)
+        # force immediate overflow in exp(-2 phi2)
+        st = FlowState(st.phi1, st.phi2 * 1e308, st.t, st.dphi1_dt, st.dphi2_dt)
         pins = pin_mask(w16.rho)
         with pytest.raises(FlowBlowupError):
             with np.errstate(all="ignore"):
@@ -166,7 +189,7 @@ class TestRun:
         st = init_state("trig", {"a": 0.2, "b": 0.1}, w16)
         traj = run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005)
         last = traj.final
-        theta = theta_field(last.phi2, last.dphi1_dt, last.dphi2_dt, w16)
+        theta = theta_field(w16.metric_weight(last.phi2), last.dphi1_dt, last.dphi2_dt)
         val = float(np.sum(theta * theta)) * w16.grid.cell_volume
         assert val == pytest.approx(traj.column("theta_l2")[-1], rel=1e-12)
 
@@ -209,7 +232,7 @@ class TestSteadyResidual:
 
     def test_constant_phi2(self, w16):
         st = init_state("zero", {}, w16)
-        st.phi2 = np.full(w16.grid.shape, 0.7)
+        st = FlowState(st.phi1, np.full(w16.grid.shape, 0.7), st.t, st.dphi1_dt, st.dphi2_dt)
         r1, r2 = steady_residual(st, w16)
         assert r1 == 0.0
         assert r2 < 1e-11
@@ -226,11 +249,8 @@ class TestSteadyResidual:
 class TestFixedPoint:
     def test_steady_pair_barely_moves(self, w16):
         st = init_state("zero", {}, w16)
-        st.phi2 = np.full(w16.grid.shape, 0.3)
-        from singflow.operators import flow_rhs
-
-        r1, r2 = flow_rhs(st.phi1, st.phi2, w16)
-        st.dphi1_dt, st.dphi2_dt = r1, r2
+        phi2 = np.full(w16.grid.shape, 0.3)
+        st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
         pins = pin_mask(w16.rho)
         nxt = step(st, w16, 1e-3, pins)
         assert np.max(np.abs(nxt.phi2 - st.phi2)) < 1e-14
@@ -244,10 +264,8 @@ class TestFixedPoint:
         moves = []
         for eps in (1e-3, 1e-4):
             st = init_state("zero", {}, w16)
-            st.phi2 = np.full(grid.shape, 0.3) + eps * np.sin(2 * np.pi * x1)
-            from singflow.operators import flow_rhs
-
-            st.dphi1_dt, st.dphi2_dt = flow_rhs(st.phi1, st.phi2, w16)
+            phi2 = np.full(grid.shape, 0.3) + eps * np.sin(2 * np.pi * x1)
+            st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
             nxt = step(st, w16, dt, pins)
             moves.append(np.max(np.abs(nxt.phi2 - st.phi2)))
         # movement scales linearly with the residual scale eps
@@ -278,28 +296,37 @@ class TestBitwiseAgainstOperators:
         phi1 = rng.standard_normal(weight_n.grid.shape)
         phi2 = 0.1 * rng.standard_normal(weight_n.grid.shape)
         s = weight_n.grid.spacing
-        r1, r2, cache = flow._rhs_with_grads(phi1, phi2, weight_n)
+        pins = pin_mask(weight_n.rho)
+        st = derive_state(phi1, phi2, 0.0, weight_n, pins)
         ref1, ref2 = flow_rhs(phi1, phi2, weight_n)
-        assert np.array_equal(r1, ref1)
-        assert np.array_equal(r2, ref2)
+        ref1[pins] = 0.0
+        assert np.array_equal(st.dphi1_dt, ref1)
+        assert np.array_equal(st.dphi2_dt, ref2)
         for key, f in (("1", phi1), ("2", phi2)):
-            assert np.array_equal(cache["g" + key], gradient(f, s))
-            assert np.array_equal(cache["lap" + key], laplacian(f, s))
+            assert np.array_equal(getattr(st, "grad" + key), gradient(f, s))
+            assert np.array_equal(getattr(st, "lap" + key), laplacian(f, s))
+        assert np.array_equal(st.wtil, weight_n.metric_weight(phi2))
 
     def test_run_matches_reference_loop(self, w16):
         dt, steps = 2e-4, 50
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
         traj = run(st0, w16, dt=dt, t_final=steps * dt, snapshot_interval=steps * dt)
 
-        # the step written with operators.py only, never reading a cache
+        # the step written with operators.py only, never reading derived fields
         grid, s = w16.grid, w16.grid.spacing
         pins = pin_mask(w16.rho)
         factor = implicit_euler_factor(grid, dt)
         pre = flow._series_constants(st0, w16)
+
+        def reference_state(phi1, phi2, t, r1, r2):
+            grads = gradient(phi1, s), gradient(phi2, s)
+            laps = laplacian(phi1, s), laplacian(phi2, s)
+            return StepState(phi1, phi2, t, r1, r2, *grads, *laps, w16.metric_weight(phi2))
+
         phi1, phi2, t = st0.phi1, st0.phi2, 0.0
         r1, r2 = flow_rhs(phi1, phi2, w16)
         r1[pins] = 0.0
-        rows = [flow._series_row(FlowState(phi1, phi2, t, r1, r2), w16, pre)]
+        rows = [flow._series_row(reference_state(phi1, phi2, t, r1, r2), w16, pre)]
         for _ in range(steps):
             e1 = r1 - laplacian(phi1, s)
             e2 = r2 - laplacian(phi2, s)
@@ -309,7 +336,7 @@ class TestBitwiseAgainstOperators:
             t += dt
             r1, r2 = flow_rhs(phi1, phi2, w16)
             r1[pins] = 0.0
-            rows.append(flow._series_row(FlowState(phi1, phi2, t, r1, r2), w16, pre))
+            rows.append(flow._series_row(reference_state(phi1, phi2, t, r1, r2), w16, pre))
 
         assert np.array_equal(traj.final.phi1, phi1)
         assert np.array_equal(traj.final.phi2, phi2)

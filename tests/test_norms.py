@@ -67,18 +67,18 @@ class TestEnergy:
 class TestTheta:
     def test_zero_state(self, w16):
         z = np.zeros(w16.grid.shape)
-        assert np.max(theta_field(z, z, z, w16)) == 0.0
+        assert np.max(theta_field(w16.metric_weight(z), z, z)) == 0.0
 
     def test_reduces_to_dphi2_when_dphi1_zero(self, w16):
         rng = np.random.default_rng(0)
         z = np.zeros(w16.grid.shape)
         d2 = rng.normal(size=w16.grid.shape)
-        assert np.array_equal(theta_field(z, z, d2, w16), d2**2)
+        assert np.array_equal(theta_field(w16.metric_weight(z), z, d2), d2**2)
 
     def test_nonnegative(self, w16):
         rng = np.random.default_rng(1)
-        args = [rng.normal(size=w16.grid.shape) for _ in range(3)]
-        assert np.min(theta_field(*args, w16)) >= 0.0
+        phi2, d1, d2 = (rng.normal(size=w16.grid.shape) for _ in range(3))
+        assert np.min(theta_field(w16.metric_weight(phi2), d1, d2)) >= 0.0
 
     def test_log_integral_sq_handles_tiny_fields(self, w16):
         vol = w16.grid.cell_volume
