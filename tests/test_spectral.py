@@ -407,6 +407,17 @@ class TestReconstruct:
         assert np.max(np.abs(k2)) == 0.0
         integrate_ode(system4, T=0.3, dt=1e-3)  # restore for later tests
 
+    def test_galerkin_states_follow_reconstruct(self, system4):
+        integrate_ode(system4, T=0.3, dt=1e-3)
+        states = galerkin_states(system4)
+        count = 0
+        for i, (t, k1, k2) in enumerate(states):
+            want1, want2 = reconstruct(system4, i)
+            assert t == float(system4.coeff_times[i])
+            assert np.array_equal(k1, want1) and np.array_equal(k2, want2)
+            count += 1
+        assert count == len(system4.coeff_times) == 301
+
     def test_projection_round_trip(self, system4):
         rng = np.random.default_rng(11)
         c1 = rng.normal(size=system4.N)
@@ -453,13 +464,17 @@ class TestWeakResidual:
             )
         assert defects[8] < defects[4]
 
-    @pytest.mark.parametrize("wider_tests", [False, True])
-    def test_matches_entry_by_entry_loop(self, grid, w16, wider_tests):
+    @pytest.mark.parametrize(
+        "T, wider_tests",
+        [(0.02, False), (0.02, True), (0.1, False), (0.1, True)],
+        ids=["False", "True", "False-101-states", "True-101-states"],  # 21 states unless named
+    )
+    def test_matches_entry_by_entry_loop(self, grid, w16, T, wider_tests):
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        times = np.arange(0.0, 0.02 + 1e-12, 1e-3)
+        times = np.arange(0.0, T + 1e-12, 1e-3)
         sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, times)
-        integrate_ode(sysA, T=0.02, dt=1e-3)
+        integrate_ode(sysA, T=T, dt=1e-3)
         tests = None
         if wider_tests:
             test_basis = build_basis(grid, 8)
@@ -478,7 +493,7 @@ class TestWeakResidual:
         dt = 1e-4  # explicit drift under CN diffusion needs dt well below 2/max|v|^2
         times = np.arange(0.0, 0.1 + 1e-12, dt)
         sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
-        states = linearized_imex_states(phi0_1, phi0_2, w16, f1, f2, T=0.1, dt=dt)
+        states = list(linearized_imex_states(phi0_1, phi0_2, w16, f1, f2, T=0.1, dt=dt))
         defect = weak_residual(states, sysA, f1, f2)
         # scale set by the load size ~ O(1); constant measured at n in {8,16}
         assert defect <= 50.0 * (dt**2 + grid.spacing**2)
