@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from singflow.flow import FlowState, StepState, Trajectory
+from singflow.flow import FlowState, StepState, Trajectory, stencil_laplacian
 from singflow.geometry import stencil_clear
 from singflow.norms import cstar2_norm, theta_field
-from singflow.operators import laplacian, stencil_symbol
+from singflow.operators import stencil_symbol
 from singflow.weight import WeightField
 
 
@@ -174,7 +174,7 @@ class BochnerAccumulator:
             self.window.pop(0)
         if len(self.window) == 3:
             (t0, th0), (_, th1), (t2, th2) = self.window
-            expr = (th2 - th0) / (t2 - t0) - laplacian(th1, self.w.grid.spacing)
+            expr = (th2 - th0) / (t2 - t0) - stencil_laplacian(th1, self.w)
             self.worst = max(self.worst, float(np.max(expr[self.mask])))
 
 

@@ -133,17 +133,18 @@ def _convert(raw: str, kind: str):
 
 def whole_steps(t_final: float, dt: float) -> int | None:
     """round(t_final / dt) when t_final is a whole multiple of dt (relative
-    tolerance 1e-9), else None. The steppers take round(t_final / dt) steps,
-    so a remainder would end them short of or past t_final."""
+    tolerance 1e-9), else None. The steppers take round(t_final / dt) steps
+    and snapshot every round(snapshot_interval / dt) steps, so a remainder
+    would end them, or space their snapshots, off the requested times."""
     ratio = t_final / dt
     steps = round(ratio)
     return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
 
 
-def _off_grid(section: str, t_final: float, dt: float) -> str:
+def _off_grid(section: str, key: str, value: float, dt: float) -> str:
     return (
-        f"[{section}] t_final = {t_final}: must be a whole multiple "
-        f"of dt = {dt} (t_final/dt = {t_final / dt:.6g})"
+        f"[{section}] {key} = {value}: must be a whole multiple "
+        f"of dt = {dt} ({key}/dt = {value / dt:.6g})"
     )
 
 
@@ -169,9 +170,11 @@ def _validate(cfg: RunConfig, errors: list[str]):
     for name in ("dt", "t_final", "snapshot_interval", "cfl_factor"):
         if getattr(cfg, name) <= 0:
             errors.append(f"[flow] {name} = {getattr(cfg, name)}: must be positive")
-    if cfg.dt_policy == "fixed" and cfg.dt > 0 and cfg.t_final > 0:
-        if whole_steps(cfg.t_final, cfg.dt) is None:
-            errors.append(_off_grid("flow", cfg.t_final, cfg.dt))
+    if cfg.dt_policy == "fixed" and cfg.dt > 0:
+        for name in ("t_final", "snapshot_interval"):
+            value = getattr(cfg, name)
+            if value > 0 and whole_steps(value, cfg.dt) is None:
+                errors.append(_off_grid("flow", name, value, cfg.dt))
     if cfg.solver_tol <= 0:
         errors.append(f"[weight] solver_tol = {cfg.solver_tol}: must be positive")
     if cfg.galerkin_N < 1:
@@ -179,7 +182,7 @@ def _validate(cfg: RunConfig, errors: list[str]):
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:
         errors.append("[galerkin] dt and t_final must be positive")
     elif whole_steps(cfg.galerkin_t_final, cfg.galerkin_dt) is None:
-        errors.append(_off_grid("galerkin", cfg.galerkin_t_final, cfg.galerkin_dt))
+        errors.append(_off_grid("galerkin", "t_final", cfg.galerkin_t_final, cfg.galerkin_dt))
     if cfg.holder_pairs < 1:
         errors.append(f"[analysis] holder_pairs = {cfg.holder_pairs}: must be positive")
     if not (0 < cfg.rate_slack <= 1):

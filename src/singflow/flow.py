@@ -33,11 +33,18 @@ from singflow.weight import WeightField
 
 
 class FlowBlowupError(RuntimeError):
-    def __init__(self, step: int, max_drift: float):
+    """A step produced non-finite fields; t and the maxima describe the last finite state."""
+
+    def __init__(self, step: int, t: float, max_phi1: float, max_phi2: float, max_drift: float):
         super().__init__(
-            f"non-finite field values at step {step} (max |drift coefficient| = {max_drift:.3e})"
+            f"non-finite field values at step {step}; last finite state at t = {t:.6g} has "
+            f"max |phi1| = {max_phi1:.3e}, max |phi2| = {max_phi2:.3e} "
+            f"(max |drift coefficient| = {max_drift:.3e})"
         )
         self.step = step
+        self.t = t
+        self.max_phi1 = max_phi1
+        self.max_phi2 = max_phi2
         self.max_drift = max_drift
 
 
@@ -148,35 +155,50 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
             )
 
 
-def _grad_and_lap(f: np.ndarray, w: WeightField):
-    """Centered gradient and 7-point Laplacian read from one wrap-padded copy.
+def _wrap_pad(f: np.ndarray, w: WeightField):
+    """The (plus, minus) neighbour views of f along each axis, read from w.stencil_pad.
 
-    The face layers of w.stencil_pad receive the periodic neighbours (edges
-    and corners are never read). The float operations and their order are
-    those of operators.gradient and operators.laplacian, so the results are
-    bitwise equal to them.
+    The face layers of the pad receive the periodic neighbours (edges and
+    corners are never read). The views are valid until the pad is next filled.
     """
-    s = w.grid.spacing
     pad = w.stencil_pad
     c = slice(1, -1)
     pad[c, c, c] = f
     pad[0, c, c], pad[-1, c, c] = f[-1], f[0]
     pad[c, 0, c], pad[c, -1, c] = f[:, -1], f[:, 0]
     pad[c, c, 0], pad[c, c, -1] = f[:, :, -1], f[:, :, 0]
-    shifts = (
+    return (
         (pad[2:, c, c], pad[:-2, c, c]),
         (pad[c, 2:, c], pad[c, :-2, c]),
         (pad[c, c, 2:], pad[c, c, :-2]),
     )
+
+
+def _grad_and_lap(f: np.ndarray, w: WeightField):
+    """Centered gradient and 7-point Laplacian read from one wrap-padded copy.
+
+    The float operations and their order are those of operators.gradient and
+    operators.laplacian, so the results are bitwise equal to them.
+    """
+    s = w.grid.spacing
     grad = np.empty((3,) + f.shape)
     lap = -6.0 * f
     inv2 = 0.5 / s
-    for ax, (plus, minus) in enumerate(shifts):
+    for ax, (plus, minus) in enumerate(_wrap_pad(f, w)):
         np.subtract(plus, minus, out=grad[ax])
         grad[ax] *= inv2
         lap += plus + minus
     lap /= s**2
     return grad, lap
+
+
+def stencil_laplacian(f: np.ndarray, w: WeightField) -> np.ndarray:
+    """The Laplacian of `_grad_and_lap` alone, bitwise equal to operators.laplacian."""
+    lap = -6.0 * f
+    for plus, minus in _wrap_pad(f, w):
+        lap += plus + minus
+    lap /= w.grid.spacing**2
+    return lap
 
 
 def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
@@ -238,7 +260,13 @@ def step(
 
     if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
         v = gradient(state.phi2, s) + w.alpha_grad_log_h
-        raise FlowBlowupError(step_index, float(np.max(np.sqrt(np.sum(v * v, axis=0)))))
+        raise FlowBlowupError(
+            step_index,
+            state.t,
+            float(np.max(np.abs(state.phi1))),
+            float(np.max(np.abs(state.phi2))),
+            float(np.max(np.sqrt(np.sum(v * v, axis=0)))),
+        )
 
     return derive_state(phi1, phi2, state.t + dt, w, pins)
 
@@ -400,6 +428,7 @@ def run(
 
     pre = _series_constants(state0, w)
     n_steps = int(round(t_final / dt))
+    # a whole number of steps under dt_policy = fixed (see config); the nearest one under cfl
     snap_every = max(1, int(round(snapshot_interval / dt)))
 
     series: dict[str, list] = {}

@@ -353,12 +353,21 @@ def weak_residual(
 ) -> float:
     """Max defect of the two weak-form identities over a set of test functions.
 
-    `states` iterates (t, k1, k2) at uniform time spacing from t=0; time
-    integrals are trapezoidal on that spacing and the identities are checked
-    at 8 evenly spread times. Test functions default to the system's own
-    basis fields (time independent, so the time-derivative transfer terms
-    vanish); pass a larger (basis, weighted basis) pair to probe directions
-    outside the solution span.
+    `states` is a sized sequence of (t, k1, k2) from t=0, such as
+    `galerkin_states(system)` or a list: its length fixes the 8 evenly spread
+    check times before the first state is read, and it is iterated once. Time
+    integrals are trapezoidal on the states' times. Test functions default to
+    the system's own basis fields (time independent, so the time-derivative
+    transfer terms vanish); pass a larger (basis, weighted basis) pair to
+    probe directions outside the solution span.
+
+    The stiffness, coupling and load rows are linear in (k1, k2, f1(t),
+    f2(t)), and so is the trapezoid rule, so the integral of those rows up to
+    a check time equals the same rows evaluated on the trapezoid integrals of
+    the four fields. Those integrals are kept as running sums, and the grid
+    functionals run once per check time on them instead of once per state.
+    Only the mass rows are taken on the state itself. The system's matrices
+    and loads are not read, so the check stays independent of the assembly.
     """
     grid = system.weight.grid
     vol = grid.cell_volume
@@ -378,43 +387,61 @@ def weak_residual(
     gpsi1 = test_wbasis.grads.reshape(N, -1)
     gpsi2 = test_basis.grads.reshape(N, -1)
 
-    rows = []
-    times = []
-    for t, k1, k2 in states:
+    def flux_rows(k1, k2, l1, l2):
+        """Stiffness plus coupling minus load of each identity, for fields (k1, k2, f1, f2)."""
         gk1 = gradient(k1, s)
         gk2 = gradient(k2, s)
-        mass1 = vol * (wpsi1 @ k1.ravel())
-        mass2 = vol * (psi2 @ k2.ravel())
         stiff1 = vol * (gpsi1 @ (wtil * gk1).ravel())
         coup1 = vol * (wpsi1 @ (2.0 * np.sum(g0 * gk2, axis=0)).ravel())
-        load1 = vol * (wpsi1 @ f1(float(t)).ravel())
+        load1 = vol * (wpsi1 @ l1.ravel())
         stiff2 = vol * (gpsi2 @ gk2.ravel())
         coup2 = vol * (psi2 @ (2.0 * wtil * g0_sq * k2 - 2.0 * wtil * np.sum(g0 * gk1, axis=0)).ravel())
-        load2 = vol * (psi2 @ f2(float(t)).ravel())
-        rows.append(np.concatenate([mass1, stiff1 + coup1 - load1, mass2, stiff2 + coup2 - load2]))
-        times.append(t)
+        load2 = vol * (psi2 @ l2.ravel())
+        return stiff1 + coup1 - load1, stiff2 + coup2 - load2
 
-    rows = np.asarray(rows)
-    times = np.asarray(times)
-    n_steps = len(times) - 1
-    check_idx = np.unique(np.linspace(1, n_steps, min(8, n_steps)).astype(int))
+    n_steps = len(states) - 1
+    check_idx = set(np.unique(np.linspace(1, n_steps, min(8, n_steps)).astype(int)).tolist())
 
     defect = 0.0
-    for idx in check_idx:
-        tt = times[: idx + 1]
-        integrand1 = rows[: idx + 1, N : 2 * N]
-        integrand2 = rows[: idx + 1, 3 * N :]
-        id1 = rows[idx, :N] + np.trapezoid(integrand1, tt, axis=0)
-        id2 = rows[idx, 2 * N : 3 * N] + np.trapezoid(integrand2, tt, axis=0)
-        defect = max(defect, float(np.max(np.abs(id1))), float(np.max(np.abs(id2))))
+    integrals = [grid.zeros() for _ in range(4)]  # trapezoid integrals of k1, k2, f1, f2
+    prev_t, prev = None, None
+    for i, (t, k1, k2) in enumerate(states):
+        fields = (k1, k2, f1(float(t)), f2(float(t)))
+        if prev is not None:
+            half_dt = 0.5 * (t - prev_t)
+            for acc, a, b in zip(integrals, prev, fields):
+                acc += half_dt * (a + b)
+        prev_t, prev = t, fields
+        if i in check_idx:
+            flux1, flux2 = flux_rows(*integrals)
+            id1 = vol * (wpsi1 @ k1.ravel()) + flux1
+            id2 = vol * (psi2 @ k2.ravel()) + flux2
+            defect = max(defect, float(np.max(np.abs(id1))), float(np.max(np.abs(id2))))
     return defect
 
 
-def galerkin_states(system: GalerkinSystem):
-    """Iterator of (t, k1, k2) over the stored coefficient trajectory."""
-    for i, t in enumerate(system.coeff_times):
-        k1, k2 = reconstruct(system, i)
-        yield float(t), k1, k2
+class GalerkinStates:
+    """The stored coefficient trajectory as a lazy sized sequence of (t, k1, k2).
+
+    Its length is known before any field exists; iterating reconstructs one
+    step at a time, so the trajectory's fields are never all held at once.
+    """
+
+    def __init__(self, system: GalerkinSystem):
+        self.system = system
+
+    def __len__(self) -> int:
+        return len(self.system.coeff_times)
+
+    def __iter__(self):
+        for i, t in enumerate(self.system.coeff_times):
+            k1, k2 = reconstruct(self.system, i)
+            yield float(t), k1, k2
+
+
+def galerkin_states(system: GalerkinSystem) -> GalerkinStates:
+    """(t, k1, k2) over the stored coefficient trajectory, as a lazy sized sequence."""
+    return GalerkinStates(system)
 
 
 def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]:

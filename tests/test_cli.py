@@ -62,6 +62,19 @@ class TestConfigParsing:
         text = MINIMAL.replace("t_final = 0.01", "t_final = 0.0105\ndt_policy = cfl")
         assert parse_config_text(text).t_final == 0.0105
 
+    def test_flow_snapshot_interval_must_be_a_multiple_of_fixed_dt(self):
+        for interval, ratio in (("2.5e-3", "2.5"), ("5e-4", "0.5")):
+            text = MINIMAL.replace("snapshot_interval = 5e-3", f"snapshot_interval = {interval}")
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert err.value.errors == [
+                f"[flow] snapshot_interval = {float(interval)}: must be a whole multiple "
+                f"of dt = 0.001 (snapshot_interval/dt = {ratio})"
+            ]
+        # dt_policy = cfl picks its own dt, so only the fixed policy is checked
+        text = MINIMAL.replace("snapshot_interval = 5e-3", "snapshot_interval = 2.5e-3\ndt_policy = cfl")
+        assert parse_config_text(text).snapshot_interval == 2.5e-3
+
     def test_duplicate_key_reports_both_lines(self):
         text = "[grid]\nn = 16\nn = 32\n"
         with pytest.raises(ConfigError) as err:

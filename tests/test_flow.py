@@ -19,6 +19,7 @@ from singflow.flow import (
     pin_mask,
     run,
     steady_residual,
+    stencil_laplacian,
     step,
     validate_vanishing_order,
 )
@@ -154,11 +155,18 @@ class TestStep:
     def test_blowup_raises(self, w16):
         st = init_state("trig", {"a": 0.3, "b": 0.2}, w16)
         # force immediate overflow in exp(-2 phi2)
-        st = FlowState(st.phi1, st.phi2 * 1e308, st.t, st.dphi1_dt, st.dphi2_dt)
+        st = FlowState(st.phi1, st.phi2 * 1e308, 0.25, st.dphi1_dt, st.dphi2_dt)
         pins = pin_mask(w16.rho)
-        with pytest.raises(FlowBlowupError):
+        with pytest.raises(FlowBlowupError) as err:
             with np.errstate(all="ignore"):
-                step(st, w16, 1e-3, pins)
+                step(st, w16, 1e-3, pins, step_index=7)
+        # the error describes the last finite state, the one the failed step started from
+        max1, max2 = float(np.max(np.abs(st.phi1))), float(np.max(np.abs(st.phi2)))
+        assert np.isfinite(max2) and max2 > 1e300
+        assert (err.value.step, err.value.t) == (7, 0.25)
+        assert (err.value.max_phi1, err.value.max_phi2) == (max1, max2)
+        for text in ("step 7", "t = 0.25", f"max |phi1| = {max1:.3e}", f"max |phi2| = {max2:.3e}"):
+            assert text in str(err.value)
 
 
 def _advance(w, dt, T, family="poly_cutoff+trig", params=None):
@@ -305,6 +313,7 @@ class TestBitwiseAgainstOperators:
         for key, f in (("1", phi1), ("2", phi2)):
             assert np.array_equal(getattr(st, "grad" + key), gradient(f, s))
             assert np.array_equal(getattr(st, "lap" + key), laplacian(f, s))
+            assert np.array_equal(stencil_laplacian(f, weight_n), laplacian(f, s))
         assert np.array_equal(st.wtil, weight_n.metric_weight(phi2))
 
     def test_run_matches_reference_loop(self, w16):

@@ -410,6 +410,7 @@ class TestReconstruct:
     def test_galerkin_states_follow_reconstruct(self, system4):
         integrate_ode(system4, T=0.3, dt=1e-3)
         states = galerkin_states(system4)
+        assert len(states) == len(system4.coeff_times) == 301
         count = 0
         for i, (t, k1, k2) in enumerate(states):
             want1, want2 = reconstruct(system4, i)
