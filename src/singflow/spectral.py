@@ -363,11 +363,12 @@ def weak_residual(
 
     The stiffness, coupling and load rows are linear in (k1, k2, f1(t),
     f2(t)), and so is the trapezoid rule, so the integral of those rows up to
-    a check time equals the same rows evaluated on the trapezoid integrals of
-    the four fields. Those integrals are kept as running sums, and the grid
-    functionals run once per check time on them instead of once per state.
-    Only the mass rows are taken on the state itself. The system's matrices
-    and loads are not read, so the check stays independent of the assembly.
+    a check time equals, up to rounding, the same rows evaluated on the
+    trapezoid integrals of the four fields. Those integrals are kept as
+    running sums, and the grid functionals run once per check time on them
+    instead of once per state. Only the mass rows are taken on the state
+    itself. The system's matrices and loads are not read, so the check stays
+    independent of the assembly.
     """
     grid = system.weight.grid
     vol = grid.cell_volume
@@ -400,7 +401,7 @@ def weak_residual(
         return stiff1 + coup1 - load1, stiff2 + coup2 - load2
 
     n_steps = len(states) - 1
-    check_idx = set(np.unique(np.linspace(1, n_steps, min(8, n_steps)).astype(int)).tolist())
+    check_idx = set(np.linspace(1, n_steps, min(8, n_steps)).astype(int).tolist())
 
     defect = 0.0
     integrals = [grid.zeros() for _ in range(4)]  # trapezoid integrals of k1, k2, f1, f2
