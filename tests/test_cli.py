@@ -288,3 +288,37 @@ class TestMainEntry:
         assert rc == 0
         reports = json.loads((out / "analysis.json").read_text())
         assert "bounds" in reports and len(reports["bounds"]) == 2
+
+
+class TestThreadCountDeterminism:
+    """Outputs keep their bytes whether BLAS runs on one thread or two."""
+
+    def _outputs(self, tmp_path, command, threads):
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = tmp_path / f"{command}_{threads}"
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.join(repo, "src"),
+            OPENBLAS_NUM_THREADS=str(threads),
+            OMP_NUM_THREADS=str(threads),
+            SINGFLOW_FLOW__T_FINAL="0.01",
+            SINGFLOW_FLOW__SNAPSHOT_INTERVAL="0.005",
+            SINGFLOW_GALERKIN__T_FINAL="0.06",
+        )
+        config = os.path.join(repo, "configs", "acceptance.cfg")
+        subprocess.run(
+            [sys.executable, "-m", "singflow.cli", command, "--config", config, "--out", str(out)],
+            cwd=repo,
+            env=env,
+            check=True,
+        )
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", ["galerkin", "run"])
+    def test_one_and_two_threads_write_identical_files(self, tmp_path, command):
+        one = self._outputs(tmp_path, command, 1)
+        two = self._outputs(tmp_path, command, 2)
+        assert len(one) >= 3
+        assert one.keys() == two.keys()
+        for name in one:
+            assert one[name] == two[name], name

@@ -169,6 +169,29 @@ class TestStep:
             assert text in str(err.value)
 
 
+class TestTemporalOrder:
+    """Backward Euler is first order: halving dt halves the change of the final state.
+
+    The comparison runs only the stepper against itself at four step sizes,
+    so it shares no reference loop with the bitwise tests below.
+    """
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"c": 0.5, "a": 0.1, "b": 0.1}, {"c": 0.01, "a": 0.001, "b": 0.0015}],
+        ids=["large", "acceptance"],
+    )
+    def test_successive_differences_halve(self, w16, params):
+        finals = [_advance(w16, dt, 0.02, params=params) for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4)]
+        for name in ("phi1", "phi2"):
+            diffs = [
+                np.max(np.abs(getattr(a, name) - getattr(b, name)))
+                for a, b in zip(finals, finals[1:])
+            ]
+            for coarse, fine in zip(diffs, diffs[1:]):
+                assert 1.8 <= coarse / fine <= 2.2, (name, diffs)
+
+
 def _advance(w, dt, T, family="poly_cutoff+trig", params=None):
     params = params or {"c": 0.5, "a": 0.05, "b": 0.05}
     return march(init_state(family, params, w), w, dt, T)
@@ -289,7 +312,7 @@ class TestCfl:
         assert dt == pytest.approx(0.25 * s * min_rho / (2 * 1.5), rel=1e-12)
 
 
-@pytest.fixture(scope="module", params=[8, 16, 32])
+@pytest.fixture(scope="module", params=[8, 16, 32, 48, 64])
 def weight_n(request):
     grid = TorusGrid(request.param, 1.0)
     rho = distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5))
