@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from singflow.flow import FlowState, StepState, Trajectory, stencil_laplacian
+from singflow.flow import FlowState, StepState, Trajectory, slab_stencil
 from singflow.geometry import stencil_clear
 from singflow.norms import cstar2_norm, theta_field
 from singflow.operators import stencil_symbol
@@ -158,7 +158,8 @@ class BochnerAccumulator:
     discretization error. Keeps a rolling window of three theta fields for the
     centered time difference; usable as a flow step callback, so runs never
     hold the dense theta history. Nodes whose stencil reaches the pinned ring
-    are excluded.
+    are excluded. The centered difference and Laplacian are taken slab by slab
+    in the weight's `slab_workspace`.
     """
 
     def __init__(self, w: WeightField, pins: np.ndarray):
@@ -174,8 +175,16 @@ class BochnerAccumulator:
             self.window.pop(0)
         if len(self.window) == 3:
             (t0, th0), (_, th1), (t2, th2) = self.window
-            expr = (th2 - th0) / (t2 - t0) - stencil_laplacian(th1, self.w)
-            self.worst = max(self.worst, float(np.max(expr[self.mask])))
+            ws = self.w.slab_workspace
+            for sl in ws.slabs:
+                p = sl.stop - sl.start
+                lap, expr = ws.scratch[1, :p], ws.scratch[2, :p]
+                slab_stencil(th1, sl, self.w, lap)
+                np.subtract(th2[sl], th0[sl], out=expr)
+                expr /= t2 - t0
+                expr -= lap
+                worst = float(np.max(expr, where=self.mask[sl], initial=-np.inf))
+                self.worst = max(self.worst, worst)
 
 
 def theta_decay_check(

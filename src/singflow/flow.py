@@ -10,10 +10,11 @@ A `FlowState` is a frozen record of the pair, its time and its time
 derivatives. The derivatives are the plain PDE right-hand sides evaluated
 there, except that dphi1/dt is zero on the pinned ring: the ring is the
 grid's copy of the curve, where phi1 is held at zero for all time. The
-stepper hands out `StepState`s, which also carry the gradients, Laplacians
-and metric weight those right-hand sides were built from; `derive_state` is
-the one place that computes them, so the next step and the diagnostics row
-read them instead of recomputing them.
+stepper hands out `StepState`s, which also carry the Laplacians, squared
+gradient norms and metric weight those right-hand sides were built from;
+`derive_state` is the one place that computes them, so the next step and the
+diagnostics row read them instead of recomputing them. It is one fused
+kernel that walks the grid in cache-sized slabs of whole axis-0 planes.
 
 Time is diffusive (no rescaling), so measured decay rates compare directly
 with the stencil eigenvalues.
@@ -87,11 +88,11 @@ class StepState(FlowState):
     dataclasses.replace, which would carry the old derived fields along.
     """
 
-    grad1: np.ndarray
-    grad2: np.ndarray
     lap1: np.ndarray
     lap2: np.ndarray
     wtil: np.ndarray  # h^{-2a} e^{-2 phi2}
+    grad1_sq: np.ndarray  # |grad phi1|^2
+    grad2_sq: np.ndarray  # |grad phi2|^2
 
 
 def smooth_cutoff(rho: np.ndarray, L: float) -> np.ndarray:
@@ -155,62 +156,97 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
             )
 
 
-def _wrap_pad(f: np.ndarray, w: WeightField):
-    """The (plus, minus) neighbour views of f along each axis, read from w.stencil_pad.
+# Nodes per slab of whole axis-0 planes: max(1, SLAB_NODES // n^2) planes, so
+# one slab up to n = 32 and 8 planes at n = 64. A slab's padded copy and
+# scratch fields then stay in cache while the kernels read and write them.
+SLAB_NODES = 32768
 
-    The face layers of the pad receive the periodic neighbours (edges and
-    corners are never read). The views are valid until the pad is next filled.
+
+class SlabWorkspace:
+    """Scratch of the fused stencil kernels; reach it through `WeightField.slab_workspace`.
+
+    `slabs` lists the axis-0 plane ranges the kernels walk. `pad` holds one
+    slab wrap-padded by a node on every side, `grads` two slab-sized vector
+    fields, `scratch` three slab-sized scalar fields (the first is used by
+    `slab_stencil`), and `update` one grid-sized field for `step`.
     """
-    pad = w.stencil_pad
+
+    def __init__(self, shape):
+        n0, n1, n2 = shape
+        planes = min(n0, max(1, SLAB_NODES // (n1 * n2)))
+        self.slabs = [slice(i, min(i + planes, n0)) for i in range(0, n0, planes)]
+        self.pad = np.empty((planes + 2, n1 + 2, n2 + 2))
+        self.grads = np.empty((2, 3, planes, n1, n2))
+        self.scratch = np.empty((3, planes, n1, n2))
+        self.update = np.empty(shape)
+
+
+def slab_stencil(f: np.ndarray, planes: slice, w: WeightField, lap: np.ndarray, grad=None):
+    """7-point Laplacian of f on the axis-0 `planes` into lap, and the centered gradient into grad.
+
+    The neighbours are read from the workspace's wrap-padded copy of the slab
+    (edges and corners of the pad are never read). The float operations and
+    their order are those of operators.laplacian and operators.gradient, so
+    the results are bitwise equal to theirs.
+    """
+    ws = w.slab_workspace
+    s = w.grid.spacing
+    p = planes.stop - planes.start
+    pad, pair = ws.pad[: p + 2], ws.scratch[0, :p]
     c = slice(1, -1)
-    pad[c, c, c] = f
-    pad[0, c, c], pad[-1, c, c] = f[-1], f[0]
-    pad[c, 0, c], pad[c, -1, c] = f[:, -1], f[:, 0]
-    pad[c, c, 0], pad[c, c, -1] = f[:, :, -1], f[:, :, 0]
-    return (
+    fs = f[planes]
+    pad[c, c, c] = fs
+    pad[0, c, c], pad[-1, c, c] = f[planes.start - 1], f[planes.stop % f.shape[0]]
+    pad[c, 0, c], pad[c, -1, c] = fs[:, -1], fs[:, 0]
+    pad[c, c, 0], pad[c, c, -1] = fs[:, :, -1], fs[:, :, 0]
+    neighbours = (
         (pad[2:, c, c], pad[:-2, c, c]),
         (pad[c, 2:, c], pad[c, :-2, c]),
         (pad[c, c, 2:], pad[c, c, :-2]),
     )
-
-
-def _grad_and_lap(f: np.ndarray, w: WeightField):
-    """Centered gradient and 7-point Laplacian read from one wrap-padded copy.
-
-    The float operations and their order are those of operators.gradient and
-    operators.laplacian, so the results are bitwise equal to them.
-    """
-    s = w.grid.spacing
-    grad = np.empty((3,) + f.shape)
-    lap = -6.0 * f
+    np.multiply(fs, -6.0, out=lap)
     inv2 = 0.5 / s
-    for ax, (plus, minus) in enumerate(_wrap_pad(f, w)):
-        np.subtract(plus, minus, out=grad[ax])
-        grad[ax] *= inv2
-        lap += plus + minus
+    for ax, (plus, minus) in enumerate(neighbours):
+        if grad is not None:
+            np.subtract(plus, minus, out=grad[ax])
+            grad[ax] *= inv2
+        lap += np.add(plus, minus, out=pair)
     lap /= s**2
-    return grad, lap
 
 
-def stencil_laplacian(f: np.ndarray, w: WeightField) -> np.ndarray:
-    """The Laplacian of `_grad_and_lap` alone, bitwise equal to operators.laplacian."""
-    lap = -6.0 * f
-    for plus, minus in _wrap_pad(f, w):
-        lap += plus + minus
-    lap /= w.grid.spacing**2
-    return lap
+def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a[0] b[0] + a[1] b[1] + a[2] b[2], summed in the order of np.sum(a * b, axis=0)."""
+    np.multiply(a[0], b[0], out=out)
+    for ax in (1, 2):
+        out += np.multiply(a[ax], b[ax], out=tmp)
+    return out
 
 
 def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
-    """The state at (phi1, phi2, t) with its right-hand sides and stencil fields."""
-    grad1, lap1 = _grad_and_lap(phi1, w)
-    grad2, lap2 = _grad_and_lap(phi2, w)
-    v = grad2 + w.alpha_grad_log_h
-    wtil = w.metric_weight(phi2)
-    r1 = lap1 - 2.0 * np.sum(v * grad1, axis=0)
-    r2 = lap2 + wtil * np.sum(grad1 * grad1, axis=0)
-    r1[pins] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
-    return StepState(phi1, phi2, t, r1, r2, grad1, grad2, lap1, lap2, wtil)
+    """The state at (phi1, phi2, t) with its right-hand sides and stencil fields.
+
+    One fused pass over the workspace's slabs; each slab's gradients live
+    only in scratch. The float operations and their order are those of
+    operators.flow_rhs, so every output is bitwise equal to the reference.
+    """
+    ws = w.slab_workspace
+    lap1, lap2, wtil, r1, r2, sq1, sq2 = (np.empty(phi1.shape) for _ in range(7))
+    for sl in ws.slabs:
+        p = sl.stop - sl.start
+        g1, v = ws.grads[0, :, :p], ws.grads[1, :, :p]
+        drift, tmp = ws.scratch[1, :p], ws.scratch[2, :p]
+        slab_stencil(phi1, sl, w, lap1[sl], g1)
+        slab_stencil(phi2, sl, w, lap2[sl], v)
+        _dot3(g1, g1, sq1[sl], tmp)
+        _dot3(v, v, sq2[sl], tmp)
+        v += w.alpha_grad_log_h[:, sl]  # the phi1 drift velocity
+        _dot3(v, g1, drift, tmp)
+        drift *= 2.0
+        np.subtract(lap1[sl], drift, out=r1[sl])
+        r1[sl][pins[sl]] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
+        w.metric_weight(phi2[sl], out=wtil[sl], planes=sl)
+        np.add(lap2[sl], np.multiply(wtil[sl], sq1[sl], out=tmp), out=r2[sl])
+    return StepState(phi1, phi2, t, r1, r2, lap1, lap2, wtil, sq1, sq2)
 
 
 def init_state(family: str, params: dict, w: WeightField) -> StepState:
@@ -228,6 +264,16 @@ def cfl_dt(state: FlowState, w: WeightField, cfl_factor: float) -> float:
     g2 = gradient(state.phi2, s)
     max_g2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=0))))
     return cfl_factor * s * min_rho / (2.0 * w.alpha + max_g2 * min_rho)
+
+
+def _explicit_update(phi, dphi_dt, lap, dt: float, w: WeightField) -> np.ndarray:
+    """phi + dt * (dphi_dt - lap), slab by slab into the workspace's update field."""
+    ws = w.slab_workspace
+    for sl in ws.slabs:
+        u = np.subtract(dphi_dt[sl], lap[sl], out=ws.update[sl])
+        u *= dt
+        u += phi[sl]
+    return ws.update
 
 
 def step(
@@ -249,13 +295,13 @@ def step(
     else:  # a plain record, e.g. read back from a snapshot
         lap1 = laplacian(state.phi1, s)
         lap2 = laplacian(state.phi2, s)
-    explicit1 = state.dphi1_dt - lap1  # = -drift (zero drift reported on pins)
-    explicit2 = state.dphi2_dt - lap2  # = nonlinear source
-
-    # separate real transforms: packing both fields into one complex FFT
-    # would leak ~1e-16 * |phi2| into phi1 and bury its clean decay
-    phi1 = heat_solve(state.phi1 + dt * explicit1, euler_factor, grid.shape)
-    phi2 = heat_solve(state.phi2 + dt * explicit2, euler_factor, grid.shape)
+    # dphi1/dt - lap1 = -drift (zero drift reported on pins), dphi2/dt - lap2 =
+    # nonlinear source. Separate real transforms: packing both fields into one
+    # complex FFT would leak ~1e-16 * |phi2| into phi1 and bury its clean decay
+    update1 = _explicit_update(state.phi1, state.dphi1_dt, lap1, dt, w)
+    phi1 = heat_solve(update1, euler_factor, grid.shape)
+    update2 = _explicit_update(state.phi2, state.dphi2_dt, lap2, dt, w)  # reuses update1's field
+    phi2 = heat_solve(update2, euler_factor, grid.shape)
     phi1[pins] = 0.0
 
     if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
@@ -345,9 +391,9 @@ def _series_row(state: StepState, w: WeightField, pre: dict):
 
     vol = w.grid.cell_volume
     r1, r2 = state.dphi1_dt, state.dphi2_dt
-    g1, g2, wtil = state.grad1, state.grad2, state.wtil
+    wtil = state.wtil
 
-    H = float(np.sum(wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0))) * vol
+    H = float(np.sum(wtil * state.grad1_sq + state.grad2_sq)) * vol
     theta = wtil * r1 * r1 + r2 * r2
     theta_l2 = float(np.sum(theta * theta)) * vol
     log_theta2 = log_integral_sq(theta, vol)
@@ -438,8 +484,8 @@ def run(
     def on_state(state):
         i = next(counter)
         if conserve_phi2_mean and i > 0:
-            # constant shift: derived gradients/Laplacians stay exact, and
-            # wtil only multiplies |grad phi1|^2 = 0
+            # constant shift: derived gradient norms and Laplacians stay
+            # exact, and wtil only multiplies |grad phi1|^2 = 0
             phi2 = state.phi2
             phi2 -= float(phi2.mean())
         for key, val in _series_row(state, w, pre).items():

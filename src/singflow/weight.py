@@ -59,13 +59,23 @@ class WeightField:
         return self.alpha * self.grad_log_h
 
     @cached_property
-    def stencil_pad(self) -> np.ndarray:
-        """Scratch array one node wider per side than the grid, reused by the stepper's stencil."""
-        return np.empty(tuple(m + 2 for m in self.grid.shape))
+    def slab_workspace(self):
+        """Scratch reused by the stepper's fused stencil kernels (`flow.SlabWorkspace`)."""
+        from singflow.flow import SlabWorkspace
 
-    def metric_weight(self, phi2: np.ndarray) -> np.ndarray:
-        """h^{-2a} e^{-2 phi2}, the target-metric weight on the phi1 direction."""
-        return self._h_minus_2a * np.exp(-2.0 * phi2)
+        return SlabWorkspace(self.grid.shape)
+
+    def metric_weight(
+        self, phi2: np.ndarray, out: np.ndarray | None = None, planes: slice = slice(None)
+    ) -> np.ndarray:
+        """h^{-2a} e^{-2 phi2}, the target-metric weight on the phi1 direction.
+
+        phi2 may hold only the axis-0 `planes` of the grid; `out`, when given,
+        receives the result.
+        """
+        out = np.multiply(phi2, -2.0, out=out)
+        np.exp(out, out=out)
+        return np.multiply(self._h_minus_2a[planes], out, out=out)
 
 
 def weight_power(w: WeightField, p: float) -> np.ndarray:
