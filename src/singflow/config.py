@@ -10,6 +10,7 @@ Environment variables SINGFLOW_<SECTION>__<KEY> override file values.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -118,13 +119,20 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
 _SECTIONS = ("grid", "curve", "weight", "flow", "analysis", "galerkin")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
 def _convert(raw: str, kind: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "vec3":
-        parts = [float(p) for p in raw.split(",")]
+        parts = [_finite(p) for p in raw.split(",")]
         if len(parts) != 3:
             raise ValueError("expected three comma-separated components")
         return tuple(parts)
@@ -137,6 +145,8 @@ def whole_steps(t_final: float, dt: float) -> int | None:
     and snapshot every round(snapshot_interval / dt) steps, so a remainder
     would end them, or space their snapshots, off the requested times."""
     ratio = t_final / dt
+    if not math.isfinite(ratio):  # overflowed: no whole number of steps
+        return None
     steps = round(ratio)
     return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
 
@@ -241,10 +251,13 @@ def _apply_env_overrides(cfg: RunConfig, errors: list[str]):
     for (section, key), (attr, kind) in _SCHEMA.items():
         env_name = f"SINGFLOW_{section.upper()}__{key.upper()}"
         if env_name in os.environ:
+            raw = os.environ[env_name]
             try:
-                setattr(cfg, attr, _convert(os.environ[env_name], kind))
+                setattr(cfg, attr, _convert(raw, kind))
             except ValueError as exc:
-                errors.append(f"environment {env_name}: cannot parse ({exc})")
+                errors.append(
+                    f"environment {env_name}: cannot parse [{section}] {key} = {raw!r} ({exc})"
+                )
     if "SINGFLOW_SEED" in os.environ:
         try:
             cfg.seed = int(os.environ["SINGFLOW_SEED"])

@@ -5,10 +5,27 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singflow.cli import cmd_analyze, cmd_galerkin, cmd_run, main
-from singflow.config import ConfigError, RunConfig, parse_config_text
+from singflow.config import _SCHEMA, ConfigError, RunConfig, parse_config_text
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
+
+_CONFIG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(min_value=-(10**9), max_value=10**9).map(str),
+    st.sampled_from(["axis_line", "circle", "cfl", "trig", "0.5, 0.5, 0.5", "1, inf, 2", "1e-320"]),
+    st.text(st.characters(blacklist_characters="\n\r#", blacklist_categories=("Cs",)), max_size=8),
+)
+# a known key under its own section, an unknown section or key, or a line of any text
+_CONFIG_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(sorted(_SCHEMA)), _CONFIG_VALUES).map(
+        lambda e: f"[{e[0][0]}]\n{e[0][1]} = {e[1]}"
+    ),
+    st.sampled_from(["[mesh]", "[grid]\nbogus = 1"]),
+    st.text(st.characters(blacklist_characters="\n\r", blacklist_categories=("Cs",)), max_size=12),
+)
 
 MINIMAL = """
 [grid]
@@ -107,6 +124,39 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text("[grid]\nn = many\n")
         assert any("cannot parse" in e for e in err.value.errors)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("flow", "t_final", "inf"),
+            ("galerkin", "t_final", "inf"),
+            ("flow", "t_final", "nan"),
+            ("flow", "dt", "nan"),
+            ("weight", "alpha", "nan"),
+            ("grid", "length", "nan"),
+            ("curve", "center", "0.5, nan, 0.5"),
+            ("curve", "center", "0.5, 0.5, -inf"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, monkeypatch, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+        assert [e for e in err.value.errors if f"cannot parse {key} = " in e], err.value.errors
+        # the same value given as an environment override
+        monkeypatch.setenv(f"SINGFLOW_{section.upper()}__{key.upper()}", value)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("")
+        assert [e for e in err.value.errors if f"[{section}] {key}" in e], err.value.errors
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_CONFIG_ENTRIES, max_size=8))
+    def test_any_text_parses_or_raises_config_error(self, entries):
+        try:
+            cfg = parse_config_text("\n".join(entries))
+        except ConfigError as err:
+            assert err.errors
+        else:
+            assert isinstance(cfg, RunConfig)
 
 
 class TestSnapshots:
