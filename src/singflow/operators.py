@@ -60,7 +60,7 @@ def divergence(F: np.ndarray, spacing: float) -> np.ndarray:
 
 
 def grid_inner(f: np.ndarray, g: np.ndarray, cell_volume: float) -> float:
-    """L^2 inner product with fixed-order (pairwise) summation."""
+    """L^2 inner product through BLAS `np.dot`; its partial sums can split by BLAS thread count."""
     return float(np.dot(f.ravel(), g.ravel()) * cell_volume)
 
 
