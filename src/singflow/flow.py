@@ -214,12 +214,11 @@ def slab_stencil(f: np.ndarray, planes: slice, w: WeightField, lap: np.ndarray, 
     lap /= s**2
 
 
-def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """a[0] b[0] + a[1] b[1] + a[2] b[2], summed in the order of np.sum(a * b, axis=0)."""
+def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """a[0] b[0] + a[1] b[1] + a[2] b[2] into out, in the order of np.sum(a * b, axis=0)."""
     np.multiply(a[0], b[0], out=out)
     for ax in (1, 2):
         out += np.multiply(a[ax], b[ax], out=tmp)
-    return out
 
 
 def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
