@@ -80,16 +80,6 @@ class BoundReport:
         }
 
 
-def fit_decay_rate(times, values, window: tuple[float, float], quantity: str = "series") -> DecayReport:
-    """Least-squares line on (t, log y): amplitude e^intercept and rate -slope."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    sel = (times >= window[0]) & (times <= window[1])
-    if np.any(values[sel] <= 0.0):
-        raise ValueError("fit window contains non-positive values")
-    return fit_decay_rate_log(times[sel], np.log(values[sel]), window, quantity)
-
-
 def fit_decay_rate_log(times, log_values, window: tuple[float, float], quantity: str = "series") -> DecayReport:
     """Log-linear fit on precomputed logs (robust when y underflows linearly)."""
     times = np.asarray(times, dtype=float)
@@ -367,33 +357,3 @@ def convergence_report(
         "times": times,
         "series": series,
     }
-
-
-def barrier_check(
-    u_field: np.ndarray,
-    rho_field,
-    r_coord: np.ndarray,
-    gamma: float,
-    delta: float,
-    alpha: float,
-    shell_outer: float | None = None,
-) -> BoundReport:
-    """Constant C in |u| <= C (rho^gamma + rho^{gamma-delta} r^2) near the curve."""
-    if not (2.0 < gamma < 2.0 * alpha):
-        raise ValueError("gamma must lie in (2, 2 alpha)")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    grid = rho_field.grid
-    if shell_outer is None:
-        shell_outer = grid.length / 4.0
-    rho = rho_field.rho
-    near = (rho_field.rho_unclamped > 2.0 * grid.spacing) & (rho_field.rho_unclamped <= shell_outer)
-    barrier = rho**gamma + rho ** (gamma - delta) * r_coord**2
-    C = float(np.max(np.abs(u_field[near]) / barrier[near]))
-    return BoundReport(
-        name="barrier_constant",
-        left=C,
-        right=C,
-        tolerance=math.inf,
-        extra={"gamma": gamma, "delta": delta, "shell_outer": shell_outer},
-    )

@@ -143,9 +143,9 @@ def _matrix_rows(M):
 def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     from singflow.flow import initial_fields
     from singflow.spectral import (
+        GalerkinStates,
         assemble_galerkin,
         build_basis,
-        galerkin_states,
         integrate_ode,
         weak_residual,
     )
@@ -169,7 +169,7 @@ def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     )
     write_csv(os.path.join(out_dir, "coefficients.csv"), coeff_cols, coeff_rows)
 
-    defect = weak_residual(galerkin_states(system), system, f1, f2)
+    defect = weak_residual(GalerkinStates(system), system, f1, f2)
     write_json(
         os.path.join(out_dir, "weak_residual.json"),
         {

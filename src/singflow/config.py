@@ -9,7 +9,6 @@ Environment variables SINGFLOW_<SECTION>__<KEY> override file values.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -74,9 +73,6 @@ class RunConfig:
         d["circle_center"] = list(d["circle_center"])
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 # (section, key) -> (attribute, converter)
 _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
@@ -117,6 +113,8 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
 }
 
 _SECTIONS = ("grid", "curve", "weight", "flow", "analysis", "galerkin")
+
+MAX_STEPS = 10**7  # most steps a run may take: 400 times the battery's longest run
 
 
 def _finite(raw: str) -> float:
@@ -193,6 +191,16 @@ def _validate(cfg: RunConfig, errors: list[str]):
         errors.append("[galerkin] dt and t_final must be positive")
     elif whole_steps(cfg.galerkin_t_final, cfg.galerkin_dt) is None:
         errors.append(_off_grid("galerkin", "t_final", cfg.galerkin_t_final, cfg.galerkin_dt))
+    for section, t_final, dt in (
+        ("flow", cfg.t_final, cfg.dt),
+        ("galerkin", cfg.galerkin_t_final, cfg.galerkin_dt),
+    ):
+        steps = t_final / dt if dt > 0 else 0.0
+        if steps > MAX_STEPS + 0.5:  # round(steps) > MAX_STEPS, and no OverflowError at inf
+            errors.append(
+                f"[{section}] t_final = {t_final}: {steps:.6g} steps of dt = {dt} "
+                f"exceed MAX_STEPS = {MAX_STEPS}"
+            )
     if cfg.holder_pairs < 1:
         errors.append(f"[analysis] holder_pairs = {cfg.holder_pairs}: must be positive")
     if not (0 < cfg.rate_slack <= 1):

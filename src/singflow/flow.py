@@ -54,12 +54,6 @@ def implicit_euler_factor(grid: TorusGrid, dt: float) -> np.ndarray:
     return 1.0 / (1.0 + dt * stencil_symbol(rfft_wavevectors(grid), grid))
 
 
-def heat_propagator_factors(grid: TorusGrid, dt: float):
-    """Crank-Nicolson half-step factors ((1 - dt/2 L), 1/(1 + dt/2 L)), rfftn layout."""
-    sym = stencil_symbol(rfft_wavevectors(grid), grid)
-    return 1.0 / (1.0 + 0.5 * dt * sym), 1.0 - 0.5 * dt * sym
-
-
 def heat_solve(f: np.ndarray, factor: np.ndarray, shape) -> np.ndarray:
     return np.fft.irfftn(np.fft.rfftn(f, axes=(0, 1, 2)) * factor, s=shape, axes=(0, 1, 2))
 

@@ -67,13 +67,6 @@ def wrap_delta(d: np.ndarray | float, L: float):
     return (np.asarray(d) + 0.5 * L) % L - 0.5 * L
 
 
-def periodic_distance(p, q, L: float) -> float:
-    """Distance between two points of the L-periodic 3-torus."""
-    d = np.abs(np.asarray(p, dtype=float) % L - np.asarray(q, dtype=float) % L)
-    d = np.minimum(d, L - d)
-    return float(np.sqrt(np.sum(d * d, axis=-1)))
-
-
 @dataclass
 class CurveGamma:
     """Closed 1-dimensional curve in the torus.
@@ -245,42 +238,3 @@ def distance_to_curve(
         ridge_mask=ridge,
         grad_rho=grad,
     )
-
-
-def curve_projection_coordinate(x, anchor, gamma: CurveGamma, L: float) -> float:
-    """Along-Gamma component of the periodic displacement x - anchor.
-
-    The anchor must lie on Gamma. For an axis line this is the wrapped
-    |x3 - anchor3|; for a circle it is the arc length between the angular
-    projections of x and the anchor.
-    """
-    x = np.asarray(x, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    if gamma.kind == "axis_line":
-        return float(np.abs(wrap_delta(x[2] - anchor[2], L)))
-    if gamma.kind == "circle":
-        c = np.asarray(gamma.params["center"], dtype=float)
-        r = gamma.params["radius"]
-        axis = gamma.params["normal_axis"]
-        u, v = [ax for ax in range(3) if ax != axis]
-        ang_x = np.arctan2(wrap_delta(x[v] - c[v], L), wrap_delta(x[u] - c[u], L))
-        ang_a = np.arctan2(wrap_delta(anchor[v] - c[v], L), wrap_delta(anchor[u] - c[u], L))
-        dang = np.abs((ang_x - ang_a + np.pi) % (2 * np.pi) - np.pi)
-        return float(r * dang)
-    raise ValueError(f"unknown curve kind {gamma.kind!r}")
-
-
-def projection_coordinate_field(grid: TorusGrid, gamma: CurveGamma, anchor) -> np.ndarray:
-    """curve_projection_coordinate evaluated at every grid node."""
-    anchor = np.asarray(anchor, dtype=float)
-    L = grid.length
-    if gamma.kind == "axis_line":
-        _, _, x3 = grid.coords
-        return np.broadcast_to(np.abs(wrap_delta(x3 - anchor[2], L)), grid.shape).copy()
-    out = np.empty(grid.shape)
-    ax = grid.axis
-    for i, xi in enumerate(ax):
-        for j, xj in enumerate(ax):
-            for k, xk in enumerate(ax):
-                out[i, j, k] = curve_projection_coordinate((xi, xj, xk), anchor, gamma, L)
-    return out

@@ -2,8 +2,9 @@
 
 Sup-type norms exclude nodes within an exclusion ring of the curve (default
 2*spacing), where the clamped distance would fabricate extrema; every report
-records the ring radius actually used. Quadratures are cell-volume weighted
-with fixed-order reductions, so repeated runs are bit-reproducible.
+records the ring radius actually used. Quadratures are cell-volume weighted;
+`np.sum` reductions are fixed-order, and BLAS ones (`operators.grid_inner`, in
+`w212_norm`) are fixed for a given BLAS thread count.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from singflow.geometry import TorusGrid, periodic_distance, wrap_delta
+from singflow.geometry import TorusGrid, wrap_delta
 from singflow.operators import gradient, grid_inner
 from singflow.weight import WeightField
 
@@ -36,16 +37,6 @@ class NormReport:
             "weight_exponents": self.weight_exponents,
             "exclusion": self.exclusion,
         }
-
-
-def energy_H(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> float:
-    """Reduced energy: int h^{-2a} e^{-2 phi2} |grad phi1|^2 + |grad phi2|^2."""
-    s = w.grid.spacing
-    g1 = gradient(phi1, s)
-    g2 = gradient(phi2, s)
-    wtil = w.metric_weight(phi2)
-    density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
-    return float(np.sum(density)) * w.grid.cell_volume
 
 
 def theta_field(wtil: np.ndarray, dphi1_dt: np.ndarray, dphi2_dt: np.ndarray) -> np.ndarray:
@@ -138,17 +129,6 @@ def hyperbolic_distance(
     den = d1 * d1 + (Phi2 + Phi2_0) ** 2
     q = np.sqrt(num / den)
     return 2.0 * np.arctanh(q)
-
-
-def parabolic_distance(X, Y, L: float | None = None) -> float:
-    """max(|x - y|, |s - t|^(1/2)) for space-time points X = (x, s), Y = (y, t)."""
-    x, s = X
-    y, t = Y
-    if L is None:
-        spatial = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    else:
-        spatial = periodic_distance(x, y, L)
-    return max(spatial, abs(s - t) ** 0.5)
 
 
 def ball_mask(grid: TorusGrid, center, sigma: float) -> np.ndarray:

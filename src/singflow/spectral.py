@@ -152,9 +152,6 @@ def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
 class WeightedBasis:
     """psi1_m = h^alpha e^{phi0_2} psi2_m, the blow-up-adapted test fields."""
 
-    basis: SpectralBasis
-    weight: WeightField
-    phi0_2: np.ndarray
     fields: np.ndarray  # (N, n, n, n)
     grads: np.ndarray  # (N, 3, n, n, n)
 
@@ -163,15 +160,7 @@ def build_weighted_basis(basis: SpectralBasis, w: WeightField, phi0_2: np.ndarra
     envelope = weight_power(w, w.alpha) * np.exp(phi0_2)
     fields = basis.fields * envelope[None]
     grads = _gradients(fields, basis.grid.spacing)
-    return WeightedBasis(basis=basis, weight=w, phi0_2=phi0_2, fields=fields, grads=grads)
-
-
-def weighted_norm_check(wb: WeightedBasis) -> np.ndarray:
-    """||psi1_m||^2 in L^2(M; h^{-alpha}): should be 1 for every mode."""
-    w = wb.weight
-    wtil = w.metric_weight(wb.phi0_2)
-    vol = w.grid.cell_volume
-    return np.array([grid_inner(wtil * f, f, vol) for f in wb.fields])
+    return WeightedBasis(fields=fields, grads=grads)
 
 
 @dataclass
@@ -331,19 +320,6 @@ def reconstruct(system: GalerkinSystem, index: int) -> tuple[np.ndarray, np.ndar
     return k1, k2
 
 
-def project_onto_basis(system: GalerkinSystem, k1: np.ndarray, k2: np.ndarray):
-    """Coefficients recovering (k1, k2) from the weighted/plain Gram systems."""
-    vol = system.weight.grid.cell_volume
-    wtil = system.weight.metric_weight(system.phi0_2)
-    N = system.N
-    wb = system.wbasis.fields
-    gram1 = vol * ((wb.reshape(N, -1) * wtil.ravel()[None]) @ wb.reshape(N, -1).T)
-    rhs1 = vol * ((wb.reshape(N, -1) * wtil.ravel()[None]) @ k1.ravel())
-    gram2 = vol * (system.basis.fields.reshape(N, -1) @ system.basis.fields.reshape(N, -1).T)
-    rhs2 = vol * (system.basis.fields.reshape(N, -1) @ k2.ravel())
-    return np.linalg.solve(gram1, rhs1), np.linalg.solve(gram2, rhs2)
-
-
 def weak_residual(
     states,
     system: GalerkinSystem,
@@ -354,7 +330,7 @@ def weak_residual(
     """Max defect of the two weak-form identities over a set of test functions.
 
     `states` is a sized sequence of (t, k1, k2) from t=0, such as
-    `galerkin_states(system)` or a list: its length fixes the 8 evenly spread
+    `GalerkinStates(system)` or a list: its length fixes the 8 evenly spread
     check times before the first state is read, and it is iterated once. Time
     integrals are trapezoidal on the states' times. Test functions default to
     the system's own basis fields (time independent, so the time-derivative
@@ -440,11 +416,6 @@ class GalerkinStates:
             yield float(t), k1, k2
 
 
-def galerkin_states(system: GalerkinSystem) -> GalerkinStates:
-    """(t, k1, k2) over the stored coefficient trajectory, as a lazy sized sequence."""
-    return GalerkinStates(system)
-
-
 def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]:
     """Measured (LHS, RHS) of the Galerkin energy estimate.
 
@@ -465,7 +436,7 @@ def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]
 
     max_mass = 0.0
     grad_series = []
-    for t, k1, k2 in galerkin_states(system):
+    for t, k1, k2 in GalerkinStates(system):
         mass = grid_inner(rho_mass * k1, k1, vol) + grid_inner(k2, k2, vol)
         max_mass = max(max_mass, mass)
         gk1 = gradient(k1, s)
@@ -484,67 +455,3 @@ def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]
         )
     rhs = float(np.trapezoid(rhs_series, system.coeff_times))
     return lhs, rhs
-
-
-def poincare_ratio(wb: WeightedBasis, coeffs: np.ndarray) -> float:
-    """(int k1^2 / h^{2a+2}) / (int |grad k1|^2 / h^{2a}) for a reconstruction."""
-    w = wb.weight
-    vol = w.grid.cell_volume
-    k1 = np.tensordot(coeffs, wb.fields, axes=(0, 0))
-    gk1 = np.tensordot(coeffs, wb.grads, axes=(0, 0))
-    num = grid_inner(weight_power(w, -2 * w.alpha - 2) * k1, k1, vol)
-    den = grid_inner(weight_power(w, -2 * w.alpha) * np.sum(gk1 * gk1, axis=0), np.ones(w.grid.shape), vol)
-    return num / den
-
-
-def linearized_imex_states(
-    phi0_1: np.ndarray,
-    phi0_2: np.ndarray,
-    w: WeightField,
-    f1,
-    f2,
-    T: float,
-    dt: float,
-):
-    """Grid-level second-order IMEX (Crank-Nicolson + Heun) solve of the
-    linearized system from zero data, yielding (t, k1, k2) each step.
-
-    Cross-validates the Galerkin route: diffusion is treated spectrally with
-    the 7-point symbol, drift and couplings explicitly in drift form.
-    """
-    from singflow.flow import heat_propagator_factors
-
-    grid = w.grid
-    s = grid.spacing
-    wtil = w.metric_weight(phi0_2)
-    g0 = gradient(phi0_1, s)
-    g0_sq = np.sum(g0 * g0, axis=0)
-    v = gradient(phi0_2, s) + w.alpha * w.grad_log_h
-
-    half_minus, half_plus = heat_propagator_factors(grid, dt)
-
-    def explicit(k1, k2, t):
-        gk1 = gradient(k1, s)
-        gk2 = gradient(k2, s)
-        n1 = -2.0 * np.sum(v * gk1, axis=0) - 2.0 * np.sum(g0 * gk2, axis=0) + f1(t)
-        n2 = -2.0 * wtil * g0_sq * k2 + 2.0 * wtil * np.sum(g0 * gk1, axis=0) + f2(t)
-        return n1, n2
-
-    def cn_step(k, expl):
-        k_hat = np.fft.rfftn(k, axes=(0, 1, 2))
-        rhs = half_plus * k_hat + dt * np.fft.rfftn(expl, axes=(0, 1, 2))
-        return np.fft.irfftn(rhs * half_minus, s=grid.shape, axes=(0, 1, 2))
-
-    steps = int(round(T / dt))
-    k1 = grid.zeros()
-    k2 = grid.zeros()
-    yield 0.0, k1.copy(), k2.copy()
-    for i in range(steps):
-        t = i * dt
-        n1a, n2a = explicit(k1, k2, t)
-        k1_pred = cn_step(k1, n1a)
-        k2_pred = cn_step(k2, n2a)
-        n1b, n2b = explicit(k1_pred, k2_pred, t + dt)
-        k1 = cn_step(k1, 0.5 * (n1a + n1b))
-        k2 = cn_step(k2, 0.5 * (n2a + n2b))
-        yield (i + 1) * dt, k1.copy(), k2.copy()

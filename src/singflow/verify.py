@@ -36,10 +36,10 @@ from singflow.config import RunConfig, build_problem
 from singflow.flow import init_state, march, pin_mask, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
+    GalerkinStates,
     assemble_galerkin,
     build_basis,
     energy_estimate_sides,
-    galerkin_states,
     integrate_ode,
     weak_residual,
 )
@@ -222,7 +222,7 @@ def check_galerkin_oracles(cfg: RunConfig) -> list[dict]:
     ode_diff = float(np.max(np.abs(got - ref)))
     out.append(verdict("galerkin_ode_vs_rk4", ode_diff <= 1e-6, ode_diff, 0.0, 1e-6))
 
-    defect = weak_residual(galerkin_states(system), system, f1, f2)
+    defect = weak_residual(GalerkinStates(system), system, f1, f2)
     out.append(verdict("galerkin_weak_residual", defect <= 1e-6, defect, 0.0, 1e-6))
     return out
 

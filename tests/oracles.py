@@ -1,0 +1,192 @@
+"""Reference code that the tests check the package against.
+
+Nothing in `singflow` calls these functions: each is a slow, independent
+route to a quantity the package computes another way (the grid-level
+linearized solver against the Galerkin route, the energy against the
+per-step series row), or a diagnostic that backs a test of its own.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from singflow.analysis import BoundReport
+from singflow.geometry import CurveGamma, TorusGrid, wrap_delta
+from singflow.operators import gradient, grid_inner, rfft_wavevectors, stencil_symbol
+from singflow.spectral import GalerkinSystem, WeightedBasis
+from singflow.weight import WeightField, weight_power
+
+
+def periodic_distance(p, q, L: float) -> float:
+    """Distance between two points of the L-periodic 3-torus."""
+    d = np.abs(np.asarray(p, dtype=float) % L - np.asarray(q, dtype=float) % L)
+    d = np.minimum(d, L - d)
+    return float(np.sqrt(np.sum(d * d, axis=-1)))
+
+
+def curve_projection_coordinate(x, anchor, gamma: CurveGamma, L: float) -> float:
+    """Along-Gamma component of the periodic displacement x - anchor.
+
+    The anchor must lie on Gamma. For an axis line this is the wrapped
+    |x3 - anchor3|; for a circle it is the arc length between the angular
+    projections of x and the anchor.
+    """
+    x = np.asarray(x, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    if gamma.kind == "axis_line":
+        return float(np.abs(wrap_delta(x[2] - anchor[2], L)))
+    if gamma.kind == "circle":
+        c = np.asarray(gamma.params["center"], dtype=float)
+        r = gamma.params["radius"]
+        axis = gamma.params["normal_axis"]
+        u, v = [ax for ax in range(3) if ax != axis]
+        ang_x = np.arctan2(wrap_delta(x[v] - c[v], L), wrap_delta(x[u] - c[u], L))
+        ang_a = np.arctan2(wrap_delta(anchor[v] - c[v], L), wrap_delta(anchor[u] - c[u], L))
+        dang = np.abs((ang_x - ang_a + np.pi) % (2 * np.pi) - np.pi)
+        return float(r * dang)
+    raise ValueError(f"unknown curve kind {gamma.kind!r}")
+
+
+def projection_coordinate_field(grid: TorusGrid, gamma: CurveGamma, anchor) -> np.ndarray:
+    """curve_projection_coordinate evaluated at every grid node."""
+    anchor = np.asarray(anchor, dtype=float)
+    L = grid.length
+    if gamma.kind == "axis_line":
+        _, _, x3 = grid.coords
+        return np.broadcast_to(np.abs(wrap_delta(x3 - anchor[2], L)), grid.shape).copy()
+    out = np.empty(grid.shape)
+    ax = grid.axis
+    for i, xi in enumerate(ax):
+        for j, xj in enumerate(ax):
+            for k, xk in enumerate(ax):
+                out[i, j, k] = curve_projection_coordinate((xi, xj, xk), anchor, gamma, L)
+    return out
+
+
+def barrier_check(
+    u_field: np.ndarray,
+    rho_field,
+    r_coord: np.ndarray,
+    gamma: float,
+    delta: float,
+    alpha: float,
+    shell_outer: float | None = None,
+) -> BoundReport:
+    """Constant C in |u| <= C (rho^gamma + rho^{gamma-delta} r^2) near the curve."""
+    if not (2.0 < gamma < 2.0 * alpha):
+        raise ValueError("gamma must lie in (2, 2 alpha)")
+    if not (0.0 < delta < 1.0):
+        raise ValueError("delta must lie in (0, 1)")
+    grid = rho_field.grid
+    if shell_outer is None:
+        shell_outer = grid.length / 4.0
+    rho = rho_field.rho
+    near = (rho_field.rho_unclamped > 2.0 * grid.spacing) & (rho_field.rho_unclamped <= shell_outer)
+    barrier = rho**gamma + rho ** (gamma - delta) * r_coord**2
+    C = float(np.max(np.abs(u_field[near]) / barrier[near]))
+    return BoundReport(
+        name="barrier_constant",
+        left=C,
+        right=C,
+        tolerance=math.inf,
+        extra={"gamma": gamma, "delta": delta, "shell_outer": shell_outer},
+    )
+
+
+def energy_H(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> float:
+    """Reduced energy: int h^{-2a} e^{-2 phi2} |grad phi1|^2 + |grad phi2|^2."""
+    s = w.grid.spacing
+    g1 = gradient(phi1, s)
+    g2 = gradient(phi2, s)
+    wtil = w.metric_weight(phi2)
+    density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
+    return float(np.sum(density)) * w.grid.cell_volume
+
+
+def weighted_norm_check(wb: WeightedBasis, w: WeightField, phi0_2: np.ndarray) -> np.ndarray:
+    """||psi1_m||^2 in L^2(M; h^{-alpha}): should be 1 for every mode."""
+    wtil = w.metric_weight(phi0_2)
+    vol = w.grid.cell_volume
+    return np.array([grid_inner(wtil * f, f, vol) for f in wb.fields])
+
+
+def project_onto_basis(system: GalerkinSystem, k1: np.ndarray, k2: np.ndarray):
+    """Coefficients recovering (k1, k2) from the weighted/plain Gram systems."""
+    vol = system.weight.grid.cell_volume
+    wtil = system.weight.metric_weight(system.phi0_2)
+    N = system.N
+    wb = system.wbasis.fields
+    gram1 = vol * ((wb.reshape(N, -1) * wtil.ravel()[None]) @ wb.reshape(N, -1).T)
+    rhs1 = vol * ((wb.reshape(N, -1) * wtil.ravel()[None]) @ k1.ravel())
+    gram2 = vol * (system.basis.fields.reshape(N, -1) @ system.basis.fields.reshape(N, -1).T)
+    rhs2 = vol * (system.basis.fields.reshape(N, -1) @ k2.ravel())
+    return np.linalg.solve(gram1, rhs1), np.linalg.solve(gram2, rhs2)
+
+
+def poincare_ratio(wb: WeightedBasis, w: WeightField, coeffs: np.ndarray) -> float:
+    """(int k1^2 / h^{2a+2}) / (int |grad k1|^2 / h^{2a}) for a reconstruction."""
+    vol = w.grid.cell_volume
+    k1 = np.tensordot(coeffs, wb.fields, axes=(0, 0))
+    gk1 = np.tensordot(coeffs, wb.grads, axes=(0, 0))
+    num = grid_inner(weight_power(w, -2 * w.alpha - 2) * k1, k1, vol)
+    den = grid_inner(weight_power(w, -2 * w.alpha) * np.sum(gk1 * gk1, axis=0), np.ones(w.grid.shape), vol)
+    return num / den
+
+
+def heat_propagator_factors(grid: TorusGrid, dt: float):
+    """Crank-Nicolson half-step factors (1/(1 + dt/2 L), 1 - dt/2 L), rfftn layout."""
+    sym = stencil_symbol(rfft_wavevectors(grid), grid)
+    return 1.0 / (1.0 + 0.5 * dt * sym), 1.0 - 0.5 * dt * sym
+
+
+def linearized_imex_states(
+    phi0_1: np.ndarray,
+    phi0_2: np.ndarray,
+    w: WeightField,
+    f1,
+    f2,
+    T: float,
+    dt: float,
+):
+    """Grid-level second-order IMEX (Crank-Nicolson + Heun) solve of the
+    linearized system from zero data, yielding (t, k1, k2) each step.
+
+    Cross-validates the Galerkin route: diffusion is treated spectrally with
+    the 7-point symbol, drift and couplings explicitly in drift form.
+    """
+    grid = w.grid
+    s = grid.spacing
+    wtil = w.metric_weight(phi0_2)
+    g0 = gradient(phi0_1, s)
+    g0_sq = np.sum(g0 * g0, axis=0)
+    v = gradient(phi0_2, s) + w.alpha * w.grad_log_h
+
+    half_minus, half_plus = heat_propagator_factors(grid, dt)
+
+    def explicit(k1, k2, t):
+        gk1 = gradient(k1, s)
+        gk2 = gradient(k2, s)
+        n1 = -2.0 * np.sum(v * gk1, axis=0) - 2.0 * np.sum(g0 * gk2, axis=0) + f1(t)
+        n2 = -2.0 * wtil * g0_sq * k2 + 2.0 * wtil * np.sum(g0 * gk1, axis=0) + f2(t)
+        return n1, n2
+
+    def cn_step(k, expl):
+        k_hat = np.fft.rfftn(k, axes=(0, 1, 2))
+        rhs = half_plus * k_hat + dt * np.fft.rfftn(expl, axes=(0, 1, 2))
+        return np.fft.irfftn(rhs * half_minus, s=grid.shape, axes=(0, 1, 2))
+
+    steps = int(round(T / dt))
+    k1 = grid.zeros()
+    k2 = grid.zeros()
+    yield 0.0, k1.copy(), k2.copy()
+    for i in range(steps):
+        t = i * dt
+        n1a, n2a = explicit(k1, k2, t)
+        k1_pred = cn_step(k1, n1a)
+        k2_pred = cn_step(k2, n2a)
+        n1b, n2b = explicit(k1_pred, k2_pred, t + dt)
+        k1 = cn_step(k1, 0.5 * (n1a + n1b))
+        k2 = cn_step(k2, 0.5 * (n2a + n2b))
+        yield (i + 1) * dt, k1.copy(), k2.copy()

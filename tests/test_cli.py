@@ -45,7 +45,7 @@ class TestConfigParsing:
         assert cfg.n == 16
         assert cfg.alpha == 1.5
         assert cfg.curve_kind == "axis_line"
-        echoed = json.loads(cfg.to_json())
+        echoed = json.loads(json.dumps(cfg.as_dict()))
         assert echoed["galerkin_N"] == 8
 
     def test_alpha_constraint_message(self):
@@ -91,6 +91,24 @@ class TestConfigParsing:
         # dt_policy = cfl picks its own dt, so only the fixed policy is checked
         text = MINIMAL.replace("snapshot_interval = 5e-3", "snapshot_interval = 2.5e-3\ndt_policy = cfl")
         assert parse_config_text(text).snapshot_interval == 2.5e-3
+
+    @pytest.mark.parametrize("section", ["flow", "galerkin"])
+    def test_step_count_above_max_steps_rejected(self, section):
+        # fixed and cfl alike: cfl only shrinks dt, so it takes at least as many steps
+        for policy in ("fixed", "cfl"):
+            text = f"[flow]\ndt_policy = {policy}\n[{section}]\nt_final = 1e300\ndt = 1e-3\n"
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert err.value.errors == [
+                f"[{section}] t_final = 1e+300: 1e+303 steps of dt = 0.001 exceed MAX_STEPS = 10000000"
+            ]
+        # MAX_STEPS = 10^7 steps pass; one more does not
+        parse_config_text(f"[{section}]\nt_final = 10000.0\ndt = 1e-3\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"[{section}]\nt_final = 10000.001\ndt = 1e-3\n")
+        assert err.value.errors == [
+            f"[{section}] t_final = 10000.001: 1e+07 steps of dt = 0.001 exceed MAX_STEPS = 10000000"
+        ]
 
     def test_duplicate_key_reports_both_lines(self):
         text = "[grid]\nn = 16\nn = 32\n"
@@ -310,6 +328,14 @@ class TestMainEntry:
         rc = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "alpha must exceed 1" in capsys.readouterr().err
+
+    def test_huge_galerkin_t_final_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "long.cfg"
+        p.write_text("[grid]\nn = 8\n[galerkin]\nN = 2\ndt = 1e-3\nt_final = 1e250\n")
+        rc = main(["galerkin", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "[galerkin] t_final = 1e+250: 1e+253 steps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from oracles import energy_H
 
 from singflow import flow
 from singflow.flow import (
@@ -215,6 +216,16 @@ class TestRun:
         traj = run(st, w16, dt=1e-4, t_final=0.02, snapshot_interval=0.01)
         H = traj.column("H")
         assert np.all(np.diff(H) <= 1e-8 * H[0])
+
+    @pytest.mark.parametrize("n", [16, 48])  # 48: ragged slabs of 14, 14, 14 and 6 planes
+    def test_H_column_matches_energy_oracle(self, n):
+        grid = TorusGrid(n, 1.0)
+        w = build_weight(distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5)), alpha=1.5)
+        st = init_state("poly_cutoff+trig", {"c": 0.3, "a": 0.2, "b": 0.1}, w)
+        traj = run(st, w, dt=1e-4, t_final=2e-3, snapshot_interval=1e-4)
+        assert len(traj.snapshots) == len(traj.column("H")) == 21
+        want = [energy_H(snap.phi1, snap.phi2, w) for snap in traj.snapshots]
+        assert np.array_equal(traj.column("H"), want)
 
     def test_theta_series_consistent_with_norms(self, w16):
         st = init_state("trig", {"a": 0.2, "b": 0.1}, w16)

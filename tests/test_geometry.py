@@ -2,14 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import curve_projection_coordinate, periodic_distance
 
-from singflow.geometry import (
-    CurveGamma,
-    TorusGrid,
-    curve_projection_coordinate,
-    distance_to_curve,
-    periodic_distance,
-)
+from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 
 
 def brute_force_point_distance(p, q, L):

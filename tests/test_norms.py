@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from oracles import energy_H, periodic_distance
 
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.norms import (
     NormReport,
     cstar2_norm,
-    energy_H,
     hyperbolic_distance,
     local_energy_E,
     log_integral_sq,
-    parabolic_distance,
     sampled_holder_seminorm,
     theta_field,
     w212_norm,
@@ -156,16 +155,6 @@ class TestHyperbolicDistance:
         assert np.all(d >= np.abs(phi2 - phi2_0) - 1e-12)
 
 
-class TestParabolicDistance:
-    def test_definition_example(self):
-        d = parabolic_distance(((0.0, 0.0, 0.0), 0.0), ((0.3, 0.0, 0.0), 0.04))
-        assert d == pytest.approx(0.3)
-
-    def test_time_dominated(self):
-        d = parabolic_distance(((0.0, 0.0, 0.0), 0.0), ((0.1, 0.0, 0.0), 0.25))
-        assert d == pytest.approx(0.5)
-
-
 class TestLocalEnergy:
     def test_zero_state(self, w16):
         z = np.zeros(w16.grid.shape)
@@ -187,7 +176,6 @@ class TestLocalEnergy:
         assert g_sig == 0.0
 
         # oracle: explicit loop with fsum accumulation
-        from singflow.geometry import periodic_distance
         from singflow.operators import gradient
         from singflow.weight import weight_power
 

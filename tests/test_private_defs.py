@@ -1,9 +1,17 @@
-"""Every module-level private function and class in the package is used.
+"""Every module-level function and class in the package is used by the package.
 
 A private (`_name`) `def` or `class` at module level counts as used when any
 module of the package names it: a call, an attribute access such as
-`flow._grad_and_lap`, or an import. References from the tests do not count,
-so a helper kept alive only by its own test is reported too.
+`flow._grad_and_lap`, or an import.
+
+A public one counts as used only when a module of the package reads it: a
+`Name` or `Attribute` load. An import alone, such as a re-export from
+`__init__.py`, does not keep it alive. The few public definitions that only
+the tests read are listed in `TEST_REFERENCES`, each with its reason.
+
+References from the tests do not count, so a definition kept alive only by
+its own test is reported too. Test-only reference code lives in
+`tests/oracles.py`.
 """
 
 import ast
@@ -11,26 +19,55 @@ import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "singflow"
 
+# public definitions that only the tests read: module:name -> reason
+TEST_REFERENCES = {
+    "operators.py:exact_inner": "fsum inner product the Galerkin matrices are held to",
+    "operators.py:flow_rhs": "plain right-hand side the fused stepper kernel is held to bitwise",
+}
+
+
+def package_sources() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def names_used(trees, with_imports: bool) -> set[str]:
+    """Names that the modules read; with imports, also the names they import."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and (with_imports or isinstance(node.ctx, ast.Load)):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and (with_imports or isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+            elif with_imports and isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def _module_defs(trees: dict[str, ast.Module]):
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield name, node.name
+
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    used = names_used(trees.values(), with_imports=True)
     return [
-        f"{name}:{node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        f"{module}:{name}"
+        for module, name in _module_defs(trees)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
+def unread_public_defs(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = names_used(trees.values(), with_imports=False)
+    return [
+        f"{module}:{name}"
+        for module, name in _module_defs(trees)
+        if not name.startswith("_") and name not in read
     ]
 
 
@@ -44,6 +81,25 @@ def test_scanner_flags_unreferenced_and_keeps_referenced():
     assert unreferenced_private_defs(sources) == ["a.py:_dead", "a.py:_Gone"]
 
 
+def test_public_scanner_counts_reads_only():
+    sources = {
+        "__init__.py": "from a import exported\n\n__all__ = ['exported']\n",
+        "a.py": "def exported():\n    pass\n\ndef called():\n    pass\n\nclass Annotated:\n    pass\n"
+        "def via_attr():\n    pass\n\nclass Stored:\n    pass\n\ndef _private():\n    pass\n",
+        "b.py": "import a\nfrom a import called\n\ndef user(x: a.Annotated):\n    return called()\n\n"
+        "f = a.via_attr\na.Stored = None\n",
+    }
+    assert unread_public_defs(sources) == ["a.py:exported", "a.py:Stored", "b.py:user"]
+
+
 def test_no_unreferenced_private_defs():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_private_defs(package_sources()) == []
+
+
+def test_every_public_def_is_read_by_the_package():
+    assert [d for d in unread_public_defs(package_sources()) if d not in TEST_REFERENCES] == []
+
+
+def test_test_references_are_still_unread():
+    """The allow-list goes stale when a listed name is deleted or gains a package reader."""
+    assert set(TEST_REFERENCES) <= set(unread_public_defs(package_sources()))
