@@ -15,29 +15,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from singflow.flow import FlowState, StepState, Trajectory, slab_stencil
+from singflow.flow import FlowState, StepState, Trajectory, slab_stencil, steady_residual
 from singflow.geometry import stencil_clear
-from singflow.norms import cstar2_norm, theta_field
+from singflow.norms import cstar2_norm, local_energy_E, theta_field
 from singflow.operators import stencil_symbol
 from singflow.weight import WeightField
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecayReport:
+    """A log-linear decay fit and its verdict: the fitted rate must reach
+    rate_slack * reference_rate, and the fit's R^2 must reach r2_min."""
+
     quantity: str
     amplitude: float
     rate: float
     window: tuple[float, float]
     r_squared: float
-    reference_rate: float | None = None
-    passed: bool | None = None
-    verdict: str = ""
+    reference_rate: float
+    rate_slack: float
+    r2_min: float
 
     def __post_init__(self):
         if not (0.0 <= self.r_squared <= 1.0 + 1e-12):
             raise ValueError("R^2 must lie in [0, 1]")
         if not np.isfinite(self.rate):
             raise ValueError("fitted rate must be finite")
+
+    @property
+    def rate_floor(self) -> float:
+        return self.rate_slack * self.reference_rate
+
+    @property
+    def rate_ok(self) -> bool:
+        return bool(self.rate >= self.rate_floor)
+
+    @property
+    def r2_ok(self) -> bool:
+        return self.r_squared >= self.r2_min
+
+    @property
+    def passed(self) -> bool:
+        return self.rate_ok and self.r2_ok
 
     def as_dict(self) -> dict:
         return {
@@ -48,7 +67,7 @@ class DecayReport:
             "r_squared": self.r_squared,
             "reference_rate": self.reference_rate,
             "passed": self.passed,
-            "verdict": self.verdict,
+            "verdict": "",  # a fit that ran; a skipped one reads "skipped: <reason>"
         }
 
 
@@ -80,8 +99,17 @@ class BoundReport:
         }
 
 
-def fit_decay_rate_log(times, log_values, window: tuple[float, float], quantity: str = "series") -> DecayReport:
-    """Log-linear fit on precomputed logs (robust when y underflows linearly)."""
+def fit_decay_rate_log(
+    times,
+    log_values,
+    window: tuple[float, float],
+    quantity: str,
+    reference_rate: float,
+    rate_slack: float,
+    r2_min: float,
+) -> DecayReport:
+    """Log-linear fit on precomputed logs (robust when y underflows linearly),
+    judged against rate_slack * reference_rate and r2_min."""
     times = np.asarray(times, dtype=float)
     log_values = np.asarray(log_values, dtype=float)
     sel = (times >= window[0]) & (times <= window[1]) & np.isfinite(log_values)
@@ -99,6 +127,9 @@ def fit_decay_rate_log(times, log_values, window: tuple[float, float], quantity:
         rate=float(-slope),
         window=window,
         r_squared=max(0.0, min(1.0, r2)),
+        reference_rate=reference_rate,
+        rate_slack=rate_slack,
+        r2_min=r2_min,
     )
 
 
@@ -177,6 +208,12 @@ class BochnerAccumulator:
                 self.worst = max(self.worst, worst)
 
 
+def _log_positive(series: np.ndarray) -> np.ndarray:
+    """log of a nonnegative series, -inf where it is zero."""
+    with np.errstate(divide="ignore"):
+        return np.where(series > 0, np.log(np.maximum(series, 1e-320)), -np.inf)
+
+
 def theta_decay_check(
     traj: Trajectory,
     w: WeightField,
@@ -188,33 +225,32 @@ def theta_decay_check(
 
     Fits the squared-speed integral (reference rate 2*lambda_1) and the
     weighted pointwise sup series rho^{3/2-a}|dphi1| + rho^{3/2}|dphi2|
-    (reference lambda_1/2). Both use robust log-series.
+    (reference lambda_1/2). Both use robust log-series. `max_step_increase`
+    is the largest relative one-step growth of int theta^2.
     """
     times = traj.column("t")
     log_t2 = traj.column("log_theta2")
 
-    if not np.any(np.isfinite(log_t2)):
-        return {"verdict": "empty", "monotone": True, "fits": []}
-
-    lam1 = stencil_symbol((1, 0, 0), w.grid)
-    c0 = 2.0 * lam1
-
     finite = np.isfinite(log_t2)
+    if not np.any(finite):
+        return {"verdict": "empty", "monotone": True, "max_step_increase": 0.0, "fits": []}
+
+    c0 = 2.0 * stencil_symbol((1, 0, 0), w.grid)
     diffs = np.diff(log_t2[finite])
     monotone = bool(np.all(diffs <= np.log1p(1e-10)))
+    max_step_increase = float(np.max(np.expm1(diffs))) if diffs.size else 0.0
 
-    fit_l2 = fit_decay_rate_log(times, log_t2, window, quantity="theta_l2_integral")
-    fit_l2.reference_rate = c0
-    fit_l2.passed = fit_l2.rate >= rate_slack * c0 and fit_l2.r_squared >= r2_min
-
-    sup_series = traj.column("weighted_dt_sup")
-    with np.errstate(divide="ignore"):
-        log_sup = np.where(sup_series > 0, np.log(np.maximum(sup_series, 1e-320)), -np.inf)
-    fit_sup = fit_decay_rate_log(times, log_sup, window, quantity="weighted_dt_sup")
-    fit_sup.reference_rate = c0 / 4.0
-    fit_sup.passed = fit_sup.rate >= rate_slack * c0 / 4.0 and fit_sup.r_squared >= r2_min
-
-    return {"verdict": "fitted", "monotone": monotone, "fits": [fit_l2, fit_sup]}
+    log_sup = _log_positive(traj.column("weighted_dt_sup"))
+    fits = [
+        fit_decay_rate_log(times, log_t2, window, "theta_l2_integral", c0, rate_slack, r2_min),
+        fit_decay_rate_log(times, log_sup, window, "weighted_dt_sup", c0 / 4.0, rate_slack, r2_min),
+    ]
+    return {
+        "verdict": "fitted",
+        "monotone": monotone,
+        "max_step_increase": max_step_increase,
+        "fits": fits,
+    }
 
 
 def exponent_fit(
@@ -222,9 +258,11 @@ def exponent_fit(
     rho_field,
     shell_range: tuple[float, float],
     n_shells: int = 8,
-    min_nodes: int = 8,
 ) -> tuple[float, float]:
-    """Log-log slope (and stderr) of shell-wise max |field| against shell rho."""
+    """Log-log slope (and stderr) of shell-wise max |field| against shell rho.
+
+    Each of the geometric shells must hold at least 8 nodes.
+    """
     grid = rho_field.grid
     lo, hi = shell_range
     if lo < 4.0 * grid.spacing - 1e-12 or hi > grid.length / 4.0 + 1e-12:
@@ -234,8 +272,8 @@ def exponent_fit(
     xs, ys = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         shell = (rho >= a) & (rho < b)
-        if shell.sum() < min_nodes:
-            raise ValueError(f"shell [{a:.4g}, {b:.4g}) has fewer than {min_nodes} nodes")
+        if shell.sum() < 8:
+            raise ValueError(f"shell [{a:.4g}, {b:.4g}) has fewer than 8 nodes")
         m = float(np.max(np.abs(fieldvals[shell])))
         if m <= 0.0:
             raise ValueError("shell max vanished; cannot take logs")
@@ -245,26 +283,16 @@ def exponent_fit(
     return float(slope), float(np.sqrt(cov[0, 0]))
 
 
-def epsilon_regularity_scan(
-    state: FlowState,
-    w: WeightField,
-    centers,
-    sigma_max: float | None = None,
-    threshold: float = 0.1,
-) -> list[dict]:
+def epsilon_regularity_scan(state: FlowState, w: WeightField, centers) -> list[dict]:
     """Dyadic local-energy table per center, fitted slope, and sigma_x search.
 
-    sigma runs dyadically from 2*spacing (the smallest resolvable ball) up to
-    L/8. sigma_x is the smallest tabulated sigma with E_sigma below
-    threshold * E at the largest sigma.
+    sigma runs dyadically down from L/8 to 2*spacing (the smallest resolvable
+    ball). sigma_x is the smallest tabulated sigma with E_sigma at most
+    0.1 * E at the largest sigma.
     """
-    from singflow.norms import local_energy_E
-
     grid = w.grid
-    if sigma_max is None:
-        sigma_max = grid.length / 8.0
     sigmas = []
-    sig = sigma_max
+    sig = grid.length / 8.0
     while sig >= 2.0 * grid.spacing - 1e-12:
         sigmas.append(sig)
         sig /= 2.0
@@ -290,7 +318,7 @@ def epsilon_regularity_scan(
         E_top = E_vals[-1]
         sigma_x = None
         for sig, E in zip(sigmas, E_vals):
-            if E <= threshold * E_top:
+            if E <= 0.1 * E_top:
                 sigma_x = sig
                 break
         out.append(
@@ -305,6 +333,17 @@ def epsilon_regularity_scan(
     return out
 
 
+def cstar2_to_final(traj: Trajectory, w: WeightField) -> np.ndarray:
+    """Weighted second-order sup norm of each snapshot's distance to the final one."""
+    final = traj.final
+    return np.array(
+        [
+            cstar2_norm(st.phi1 - final.phi1, st.phi2 - final.phi2, w.rho, w.alpha).value
+            for st in traj.snapshots
+        ]
+    )
+
+
 def convergence_report(
     traj: Trajectory,
     w: WeightField,
@@ -314,8 +353,6 @@ def convergence_report(
 ) -> dict:
     """Exponential convergence of phi(t) to the final snapshot in the weighted
     second-order sup norm, plus the steady residual at the end state."""
-    from singflow.flow import steady_residual
-
     log_t2 = traj.column("log_theta2")
     finite = np.isfinite(log_t2)
     if np.any(finite) and log_t2[finite].size >= 2:
@@ -323,37 +360,14 @@ def convergence_report(
         if drop < math.log(1e3):
             raise ValueError("final time too early: int theta^2 has not decayed by 1e3")
 
-    final = traj.final
     times = np.asarray(traj.snapshot_times)
-    series = []
-    for st in traj.snapshots:
-        rep = cstar2_norm(st.phi1 - final.phi1, st.phi2 - final.phi2, w.rho, w.alpha)
-        series.append(rep.value)
-    series = np.asarray(series)
-
-    res1, res2 = steady_residual(final, w)
+    series = cstar2_to_final(traj, w)
+    residual = steady_residual(traj.final, w)
     if np.all(series == 0.0):
-        return {
-            "verdict": "converged at t=0",
-            "fit": None,
-            "steady_residual": (res1, res2),
-            "times": times,
-            "series": series,
-        }
-
-    T = times[-1]
+        return {"verdict": "converged at t=0", "fit": None, "steady_residual": residual}
     if window is None:
-        window = (1.0, T / 2.0)
-    lam1 = stencil_symbol((1, 0, 0), w.grid)
-    with np.errstate(divide="ignore"):
-        log_series = np.where(series > 0, np.log(np.maximum(series, 1e-320)), -np.inf)
-    fit = fit_decay_rate_log(times, log_series, window, quantity="cstar2_to_final")
-    fit.reference_rate = 2.0 * lam1 / 4.0
-    fit.passed = fit.rate >= rate_slack * fit.reference_rate and fit.r_squared >= r2_min
-    return {
-        "verdict": "fitted",
-        "fit": fit,
-        "steady_residual": (res1, res2),
-        "times": times,
-        "series": series,
-    }
+        window = (1.0, times[-1] / 2.0)
+    reference = 2.0 * stencil_symbol((1, 0, 0), w.grid) / 4.0
+    log_series = _log_positive(series)
+    fit = fit_decay_rate_log(times, log_series, window, "cstar2_to_final", reference, rate_slack, r2_min)
+    return {"verdict": "fitted", "fit": fit, "steady_residual": residual}

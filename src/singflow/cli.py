@@ -1,9 +1,9 @@
 """Command-line entry points: run, galerkin, analyze, verify.
 
 Exit codes: 0 on success (and every check passing, for verify), 1 when a
-verification check fails, 2 on usage or I/O errors. Outputs are deterministic
-for a fixed config and seed: CSV floats use shortest round-trip repr and JSON
-is written with sorted keys.
+verification check fails, 2 on usage, config or I/O errors, a malformed
+snapshot included. Outputs are deterministic for a fixed config and seed: CSV
+floats use shortest round-trip repr and JSON is written with sorted keys.
 """
 
 from __future__ import annotations
@@ -16,9 +16,21 @@ import sys
 
 import numpy as np
 
+from singflow.analysis import check_max_principle, cstar2_to_final, exponent_fit, fit_decay_rate_log
 from singflow.config import ConfigError, RunConfig, build_problem, parse_config, whole_steps
-from singflow.flow import SERIES_COLUMNS
-from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
+from singflow.flow import SERIES_COLUMNS, FlowState, Trajectory, cfl_dt, init_state, initial_fields, run
+from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
+from singflow.operators import stencil_symbol
+from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
+from singflow.spectral import (
+    GalerkinStates,
+    assemble_galerkin,
+    build_basis,
+    galerkin_forcing,
+    integrate_ode,
+    weak_residual,
+)
+from singflow.weight import harmonicity_residual, log_asymptotics_shell
 
 AUX_COLUMNS = ("t", "log_theta2", "weighted_dt_sup")
 
@@ -72,19 +84,11 @@ def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> list[str]:
 
 
 def _write_convergence(out_dir: str, traj, w) -> None:
-    from singflow.norms import cstar2_norm
-
-    final = traj.final
-    rows = []
-    for t, st in zip(traj.snapshot_times, traj.snapshots):
-        rep = cstar2_norm(st.phi1 - final.phi1, st.phi2 - final.phi2, w.rho, w.alpha)
-        rows.append((t, rep.value))
+    rows = zip(traj.snapshot_times, cstar2_to_final(traj, w))
     write_csv(os.path.join(out_dir, "convergence.csv"), ("t", "cstar2_to_final"), rows)
 
 
 def cmd_run(cfg: RunConfig, out_dir: str) -> int:
-    from singflow.flow import init_state, cfl_dt, run
-
     os.makedirs(out_dir, exist_ok=True)
     grid, gamma, rho, w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
@@ -112,28 +116,6 @@ def cmd_run(cfg: RunConfig, out_dir: str) -> int:
     return 0
 
 
-def galerkin_forcing(name: str, grid, rho):
-    """Named forcing presets for the linearized solver."""
-    x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
-    L = grid.length
-    if name == "trig_damped":
-        # the spatial factors, evaluated once in the order the closed form multiplies them
-        space1 = rho.rho_unclamped**2.5 * np.sin(2 * np.pi * x1 / L) * np.cos(2 * np.pi * x3 / L)
-        space2 = np.cos(2 * np.pi * x2 / L)
-
-        def f1(t):
-            return space1 * math.exp(-t)
-
-        def f2(t):
-            return space2 * (1.0 + 0.3 * math.sin(3.0 * t))
-
-        return f1, f2
-    if name == "zero":
-        zero = np.zeros(grid.shape)
-        return (lambda t: zero), (lambda t: zero)
-    raise ConfigError([f"[galerkin] forcing = {name!r}: unknown preset"])
-
-
 def _matrix_rows(M):
     for m in range(M.shape[0]):
         for l in range(M.shape[1]):
@@ -141,15 +123,6 @@ def _matrix_rows(M):
 
 
 def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
-    from singflow.flow import initial_fields
-    from singflow.spectral import (
-        GalerkinStates,
-        assemble_galerkin,
-        build_basis,
-        integrate_ode,
-        weak_residual,
-    )
-
     os.makedirs(out_dir, exist_ok=True)
     grid, gamma, rho, w = build_problem(cfg)
     phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
@@ -200,11 +173,6 @@ def _load_series(run_dir: str):
 
 
 def cmd_analyze(run_dir: str) -> int:
-    from singflow.analysis import check_max_principle, exponent_fit, fit_decay_rate_log
-    from singflow.flow import FlowState, Trajectory
-    from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
-    from singflow.operators import stencil_symbol
-
     if not os.path.isdir(run_dir):
         print(f"error: run directory {run_dir!r} does not exist", file=sys.stderr)
         return 2
@@ -242,11 +210,12 @@ def cmd_analyze(run_dir: str) -> int:
 
     reports: dict = {"decay": [], "bounds": [], "norms": []}
     window = (cfg.fit_window_start, min(cfg.fit_window_end, traj.final.t))
-    lam1 = stencil_symbol((1, 0, 0), w.grid)
+    reference = 2.0 * stencil_symbol((1, 0, 0), w.grid)
     try:
-        fit = fit_decay_rate_log(series["t"], series["log_theta2"], window, "theta_l2_integral")
-        fit.reference_rate = 2.0 * lam1
-        fit.passed = fit.rate >= cfg.rate_slack * fit.reference_rate and fit.r_squared >= cfg.r2_min
+        fit = fit_decay_rate_log(
+            series["t"], series["log_theta2"], window, "theta_l2_integral",
+            reference, cfg.rate_slack, cfg.r2_min,
+        )
         reports["decay"].append(fit.as_dict())
     except ValueError as exc:
         reports["decay"].append({"quantity": "theta_l2_integral", "verdict": f"skipped: {exc}"})
@@ -256,8 +225,6 @@ def cmd_analyze(run_dir: str) -> int:
 
     final = traj.final
     reports["norms"].append(cstar2_norm(final.phi1, final.phi2, rho, cfg.alpha).as_dict())
-    from singflow.weight import harmonicity_residual, log_asymptotics_shell
-
     try:
         reports["norms"].append(
             {
@@ -345,23 +312,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "analyze":
-        try:
+    try:
+        if args.command == "analyze":
             return cmd_analyze(args.rundir)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
-
-    try:
+        if args.seed is not None:
+            cfg.seed = args.seed
         if args.command == "run":
             return cmd_run(cfg, args.out)
         if args.command == "galerkin":
@@ -372,7 +328,7 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, SnapshotFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from singflow.geometry import DistanceField, TorusGrid
-from singflow.norms import log_integral_sq
+from singflow.norms import hyperbolic_distance, log_integral_sq
 from singflow.operators import gradient, laplacian, rfft_wavevectors, stencil_symbol
 from singflow.weight import WeightField
 
@@ -380,8 +380,6 @@ def _series_constants(state0: FlowState, w: WeightField) -> dict:
 
 
 def _series_row(state: StepState, w: WeightField, pre: dict):
-    from singflow.norms import hyperbolic_distance
-
     vol = w.grid.cell_volume
     r1, r2 = state.dphi1_dt, state.dphi2_dt
     wtil = state.wtil
@@ -439,13 +437,11 @@ def run(
     dt: float,
     t_final: float,
     snapshot_interval: float,
-    step_callback=None,
     conserve_phi2_mean: bool = False,
 ) -> Trajectory:
     """March the flow to t_final, logging per-step series and scheduled snapshots.
 
-    step_callback(state), when given, runs on the initial state and after
-    every step, once that state's series row is logged (see `march`).
+    Streaming consumers that need no series row hook into `march` instead.
 
     conserve_phi2_mean holds the phi2 mean at exactly zero (initial state
     included). With phi1 = 0 and zero-mean data the discrete flow conserves
@@ -477,14 +473,12 @@ def run(
     def on_state(state):
         i = next(counter)
         if conserve_phi2_mean and i > 0:
-            # constant shift: derived gradient norms and Laplacians stay
-            # exact, and wtil only multiplies |grad phi1|^2 = 0
+            # constant shift: the derived gradient norms and Laplacians stay
+            # equal up to rounding, and wtil only multiplies |grad phi1|^2 = 0
             phi2 = state.phi2
             phi2 -= float(phi2.mean())
         for key, val in _series_row(state, w, pre).items():
             series.setdefault(key, []).append(val)
-        if step_callback is not None:
-            step_callback(state)
         if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
 

@@ -203,18 +203,16 @@ def _circle_distance(grid: TorusGrid, gamma: CurveGamma):
 def distance_to_curve(
     grid: TorusGrid,
     gamma: CurveGamma,
-    rho_min_clamp: float | None = None,
     near_radius: float | None = None,
 ) -> DistanceField:
-    """Periodic distance field to Gamma, clamped below by rho_min_clamp.
+    """Periodic distance field to Gamma, clamped below at spacing/2.
 
-    rho_min_clamp defaults to spacing/2. near_radius flags the shell where the
-    grid cannot resolve the log singularity; it defaults to max(4*spacing,
-    L/8) so that refinement studies built on the mask compare like regions.
+    near_radius flags the shell where the grid cannot resolve the log
+    singularity; it defaults to max(4*spacing, L/8) so that refinement
+    studies built on the mask compare like regions.
     """
     gamma.validate_resolution(grid)
-    if rho_min_clamp is None:
-        rho_min_clamp = 0.5 * grid.spacing
+    rho_min_clamp = 0.5 * grid.spacing
     if near_radius is None:
         near_radius = max(4.0 * grid.spacing, grid.length / 8.0)
 

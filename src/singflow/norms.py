@@ -1,8 +1,8 @@
 """Weighted norms, energies, and pointwise diagnostics.
 
-Sup-type norms exclude nodes within an exclusion ring of the curve (default
-2*spacing), where the clamped distance would fabricate extrema; every report
-records the ring radius actually used. Quadratures are cell-volume weighted;
+Sup-type norms exclude nodes within an exclusion ring of radius 2*spacing
+about the curve, where the clamped distance would fabricate extrema; every
+report records the ring radius. Quadratures are cell-volume weighted;
 `np.sum` reductions are fixed-order, and BLAS ones (`operators.grid_inner`, in
 `w212_norm`) are fixed for a given BLAS thread count.
 """
@@ -75,24 +75,12 @@ def hessian_frobenius(f: np.ndarray, spacing: float) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def admissible_mask(rho_field, exclusion_radius: float) -> np.ndarray:
-    return rho_field.rho_unclamped > exclusion_radius
-
-
-def cstar2_norm(
-    w1: np.ndarray,
-    w2: np.ndarray,
-    rho_field,
-    alpha: float,
-    exclusion_radius: float | None = None,
-) -> NormReport:
+def cstar2_norm(w1: np.ndarray, w2: np.ndarray, rho_field, alpha: float) -> NormReport:
     """Weighted second-order sup norm:
     sum_k max(|grad^k w1| rho^{k+3/2-a} + |grad^k w2| rho^{k+3/2})."""
-    grid = rho_field.grid
-    s = grid.spacing
-    if exclusion_radius is None:
-        exclusion_radius = 2.0 * s
-    ok = admissible_mask(rho_field, exclusion_radius)
+    s = rho_field.grid.spacing
+    exclusion_radius = 2.0 * s
+    ok = rho_field.rho_unclamped > exclusion_radius
     rho = rho_field.rho
 
     total = 0.0
@@ -218,7 +206,6 @@ def sampled_holder_seminorm(
     beta: float,
     n_pairs: int = 100_000,
     seed: int = 0,
-    exclusion_radius: float | None = None,
 ) -> NormReport:
     """Monte-Carlo estimate of sup rho_{X,Y}^{2+beta-gamma} |u(X)-u(Y)| / delta^beta.
 
@@ -226,9 +213,8 @@ def sampled_holder_seminorm(
     over pairs is quadratic in the grid size and this seminorm is diagnostic.
     """
     grid = rho_field.grid
-    if exclusion_radius is None:
-        exclusion_radius = 2.0 * grid.spacing
-    ok = admissible_mask(rho_field, exclusion_radius)
+    exclusion_radius = 2.0 * grid.spacing
+    ok = rho_field.rho_unclamped > exclusion_radius
     flat_idx = np.flatnonzero(ok.ravel())
     rng = np.random.default_rng(seed)
     n_t = len(snapshots)

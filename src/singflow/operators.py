@@ -69,15 +69,6 @@ def exact_inner(f: np.ndarray, g: np.ndarray, cell_volume: float) -> float:
     return math.fsum((f * g).ravel().tolist()) * cell_volume
 
 
-def drift_term(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> np.ndarray:
-    """2 (grad phi2 + alpha grad h / h) . grad phi1."""
-    s = w.grid.spacing
-    g1 = gradient(phi1, s)
-    g2 = gradient(phi2, s)
-    v = g2 + w.alpha * w.grad_log_h
-    return 2.0 * np.sum(v * g1, axis=0)
-
-
 def flow_rhs(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand sides (dphi1/dt, dphi2/dt) of the flow, expanded drift form."""
     s = w.grid.spacing
@@ -96,22 +87,17 @@ def P_residual(
     dphi1_dt: np.ndarray,
     dphi2_dt: np.ndarray,
     w: WeightField,
-    conservative: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Components of the flow operator applied to (phi1, phi2).
 
-    The default path uses the expanded drift form; conservative=True evaluates
-    the first component through the weighted divergence instead. Both agree to
-    O(spacing^2) on smooth fields.
+    The first component is taken through the weighted divergence, the
+    conservative form that `DP_apply` linearizes; `flow_rhs` is the expanded
+    drift form, and the two agree to O(spacing^2) on smooth fields.
     """
     s = w.grid.spacing
     wq = w.metric_weight(phi2)
     g1 = gradient(phi1, s)
-    if conservative:
-        flux = wq[None] * g1
-        p1 = dphi1_dt - divergence(flux, s) / wq
-    else:
-        p1 = dphi1_dt - laplacian(phi1, s) + drift_term(phi1, phi2, w)
+    p1 = dphi1_dt - divergence(wq[None] * g1, s) / wq
     p2 = dphi2_dt - laplacian(phi2, s) - wq * np.sum(g1 * g1, axis=0)
     return p1, p2
 
@@ -122,17 +108,15 @@ def DP_apply(
     k1: np.ndarray,
     k2: np.ndarray,
     w: WeightField,
-    dk1_dt: np.ndarray | None = None,
-    dk2_dt: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Linearization of the flow operator at (phi0_1, phi0_2) in direction k.
+    """Spatial linearization of the flow operator at (phi0_1, phi0_2) in direction k.
 
-    Component 1: dk1/dt - h^{2a} e^{2 phi0_2} div(h^{-2a} e^{-2 phi0_2} grad k1)
+    Component 1: -h^{2a} e^{2 phi0_2} div(h^{-2a} e^{-2 phi0_2} grad k1)
                  + 2 grad phi0_1 . grad k2
-    Component 2: dk2/dt - Lap k2 + 2 h^{-2a} e^{-2 phi0_2} |grad phi0_1|^2 k2
+    Component 2: -Lap k2 + 2 h^{-2a} e^{-2 phi0_2} |grad phi0_1|^2 k2
                  - 2 h^{-2a} e^{-2 phi0_2} grad phi0_1 . grad k1
 
-    With dk/dt omitted the purely spatial operator is returned.
+    The time-derivative terms dk1/dt and dk2/dt enter additively and are left out.
     """
     s = w.grid.spacing
     wq = w.metric_weight(phi0_2)
@@ -146,8 +130,4 @@ def DP_apply(
         + 2.0 * wq * np.sum(g0 * g0, axis=0) * k2
         - 2.0 * wq * np.sum(g0 * gk1, axis=0)
     )
-    if dk1_dt is not None:
-        d1 = d1 + dk1_dt
-    if dk2_dt is not None:
-        d2 = d2 + dk2_dt
     return d1, d2

@@ -67,23 +67,21 @@ def read_snapshot(path: str) -> Snapshot:
         data = fh.read()
     if data[:4] != MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {data[:4]!r}")
-    off = 4
-    (version,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if version != FORMAT_VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported format version {version}")
-    n1, n2, n3 = struct.unpack_from("<III", data, off)
-    off += 12
-    length, alpha, t = struct.unpack_from("<ddd", data, off)
-    off += 24
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
-    names = []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        names.append(data[off : off + nlen].decode("utf-8"))
-        off += nlen
+    try:
+        version, n1, n2, n3 = struct.unpack_from("<IIII", data, 4)
+        if version != FORMAT_VERSION:
+            raise SnapshotFormatError(f"{path}: unsupported format version {version}")
+        length, alpha, t = struct.unpack_from("<ddd", data, 20)
+        (count,) = struct.unpack_from("<I", data, 44)
+        off = 48
+        names = []
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", data, off)
+            off += 4
+            names.append(data[off : off + nlen].decode("utf-8"))
+            off += nlen
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SnapshotFormatError(f"{path}: truncated or corrupt header ({exc})") from exc
     per_field = n1 * n2 * n3 * 8
     expected = off + count * per_field
     if len(data) != expected:

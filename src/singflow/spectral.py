@@ -28,10 +28,12 @@ them to 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from singflow.config import ConfigError
 from singflow.geometry import TorusGrid
 from singflow.operators import gradient, grid_inner, stencil_symbol
 from singflow.weight import WeightField, weight_power
@@ -88,14 +90,6 @@ class SpectralBasis:
     @property
     def size(self) -> int:
         return len(self.modes)
-
-    def eigenvalues(self, which: str = "stencil") -> np.ndarray:
-        key = {
-            "continuum": "lambda_continuum",
-            "stencil": "lambda_stencil",
-            "grad": "lambda_grad",
-        }[which]
-        return np.array([getattr(m, key) for m in self.modes])
 
 
 def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
@@ -161,6 +155,28 @@ def build_weighted_basis(basis: SpectralBasis, w: WeightField, phi0_2: np.ndarra
     fields = basis.fields * envelope[None]
     grads = _gradients(fields, basis.grid.spacing)
     return WeightedBasis(fields=fields, grads=grads)
+
+
+def galerkin_forcing(name: str, grid, rho):
+    """Named forcing presets for the linearized solver."""
+    x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
+    L = grid.length
+    if name == "trig_damped":
+        # the spatial factors, evaluated once in the order the closed form multiplies them
+        space1 = rho.rho_unclamped**2.5 * np.sin(2 * np.pi * x1 / L) * np.cos(2 * np.pi * x3 / L)
+        space2 = np.cos(2 * np.pi * x2 / L)
+
+        def f1(t):
+            return space1 * math.exp(-t)
+
+        def f2(t):
+            return space2 * (1.0 + 0.3 * math.sin(3.0 * t))
+
+        return f1, f2
+    if name == "zero":
+        zero = np.zeros(grid.shape)
+        return (lambda t: zero), (lambda t: zero)
+    raise ConfigError([f"[galerkin] forcing = {name!r}: unknown preset"])
 
 
 @dataclass

@@ -190,11 +190,9 @@ def harmonicity_residual(w: WeightField, exclusion_radius: float) -> float:
     return float(np.max(np.abs(lap[ok])))
 
 
-def log_asymptotics_shell(w: WeightField, shell_outer: float | None = None) -> tuple[float, float]:
-    """(min, max) of log h / log rho over the near-Gamma shell rho <= shell_outer."""
-    if shell_outer is None:
-        shell_outer = 2.0 * w.grid.spacing
-    shell = w.rho.rho_unclamped <= shell_outer
+def log_asymptotics_shell(w: WeightField) -> tuple[float, float]:
+    """(min, max) of log h / log rho over the near-Gamma shell rho <= 2*spacing."""
+    shell = w.rho.rho_unclamped <= 2.0 * w.grid.spacing
     if not np.any(shell):
         raise ValueError("no nodes in the near-Gamma shell")
     ratio = w.log_h[shell] / np.log(w.rho.rho[shell])

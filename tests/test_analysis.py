@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from singflow.analysis import (
     tension_bound,
     theta_decay_check,
 )
-from singflow.flow import derive_state, init_state, pin_mask, run
+from singflow.flow import derive_state, init_state, march, pin_mask, run
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import stencil_symbol
 from singflow.weight import build_weight
@@ -42,45 +43,58 @@ def heat_traj(w16):
     return run(st, w16, dt=1e-3, t_final=0.3, snapshot_interval=0.01)
 
 
-@pytest.fixture(scope="module")
-def nonlinear_run(w16):
-    """(trajectory, Bochner accumulator) of one small nonlinear run."""
-    st = init_state("poly_cutoff+trig", {"c": 0.05, "a": 0.002, "b": 0.003}, w16)
-    acc = BochnerAccumulator(w16, pin_mask(w16.rho))
-    traj = run(st, w16, dt=1e-4, t_final=0.02, snapshot_interval=0.005, step_callback=acc)
-    return traj, acc
+NONLINEAR = ("poly_cutoff+trig", {"c": 0.05, "a": 0.002, "b": 0.003})
 
 
 @pytest.fixture(scope="module")
-def nonlinear_traj(nonlinear_run):
-    return nonlinear_run[0]
+def nonlinear_traj(w16):
+    st = init_state(*NONLINEAR, w16)
+    return run(st, w16, dt=1e-4, t_final=0.02, snapshot_interval=0.005)
+
+
+# quantity, reference rate, rate slack and R^2 floor of the fits below
+JUDGE = ("series", 2.0, 0.8, 0.9)
 
 
 class TestFitDecayRate:
     def test_exact_exponential(self):
         t = np.linspace(0, 3, 50)
-        rep = fit_decay_rate_log(t, np.log(5.0 * np.exp(-2.0 * t)), (0.0, 3.0))
+        rep = fit_decay_rate_log(t, np.log(5.0 * np.exp(-2.0 * t)), (0.0, 3.0), *JUDGE)
         assert rep.amplitude == pytest.approx(5.0, rel=1e-10)
         assert rep.rate == pytest.approx(2.0, rel=1e-10)
         assert rep.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series(self):
         t = np.linspace(0, 1, 20)
-        rep = fit_decay_rate_log(t, np.log(np.full_like(t, 3.3)), (0.0, 1.0))
+        rep = fit_decay_rate_log(t, np.log(np.full_like(t, 3.3)), (0.0, 1.0), *JUDGE)
         assert rep.rate == pytest.approx(0.0, abs=1e-12)
 
     def test_noisy_rate_recovered(self):
         rng = np.random.default_rng(123)
         t = np.linspace(0, 4, 200)
         y = 3.0 * np.exp(-t) * (1.0 + 0.01 * rng.standard_normal(t.size))
-        rep = fit_decay_rate_log(t, np.log(y), (0.0, 4.0))
+        rep = fit_decay_rate_log(t, np.log(y), (0.0, 4.0), *JUDGE)
         assert 0.95 <= rep.rate <= 1.05
         assert rep.amplitude == pytest.approx(3.0, rel=0.05)
 
     def test_rejects_short_window(self):
         t = np.linspace(0, 1, 5)
         with pytest.raises(ValueError, match="10 samples"):
-            fit_decay_rate_log(t, -t, (0.0, 1.0))
+            fit_decay_rate_log(t, -t, (0.0, 1.0), *JUDGE)
+
+    def test_pass_rule(self):
+        # rate >= rate_slack * reference_rate and R^2 >= r2_min, decided at construction
+        t = np.linspace(0, 3, 50)
+        logs = np.log(5.0 * np.exp(-2.0 * t))
+        rep = fit_decay_rate_log(t, logs, (0.0, 3.0), "series", 2.5, 0.8, 0.9)
+        assert rep.rate_floor == 0.8 * 2.5 and rep.rate_ok and rep.r2_ok and rep.passed
+        slow = fit_decay_rate_log(t, logs, (0.0, 3.0), "series", 2.6, 0.8, 0.9)
+        assert not slow.rate_ok and slow.r2_ok and not slow.passed
+        noisy = fit_decay_rate_log(t, logs + 0.5 * np.sin(40 * t), (0.0, 3.0), "series", 2.0, 0.8, 0.99)
+        assert noisy.rate_ok and not noisy.r2_ok and not noisy.passed
+        assert noisy.as_dict()["passed"] is False and noisy.as_dict()["reference_rate"] == 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.reference_rate = 0.0
 
 
 class TestMaxPrinciple:
@@ -111,7 +125,7 @@ class TestBochner:
     def test_zero_trajectory(self, w16):
         st = init_state("zero", {}, w16)
         acc = BochnerAccumulator(w16, pin_mask(w16.rho))
-        run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005, step_callback=acc)
+        march(st, w16, dt=1e-3, t_final=0.01, step_callback=acc)
         assert acc.worst <= 0.0
 
     def test_single_heat_mode_matches_analytic(self, w16):
@@ -123,7 +137,7 @@ class TestBochner:
         # stopping at step 11 leaves the theta fields of steps 9, 10 and 11
         # (the middle of a 20-step run) in the accumulator's window
         acc = BochnerAccumulator(w16, pin_mask(w16.rho))
-        run(st, w16, dt=dt, t_final=11 * dt, snapshot_interval=dt, step_callback=acc)
+        march(st, w16, dt=dt, t_final=11 * dt, step_callback=acc)
 
         from singflow.operators import gradient, laplacian
 
@@ -144,10 +158,11 @@ class TestBochner:
         scale = float(np.max(np.abs(target)))
         assert np.max(np.abs(expr - target)) <= 60.0 * (dt**2 + grid.spacing**2) * scale
 
-    def test_nonlinear_violation_small(self, w16, nonlinear_run):
-        nonlinear_traj, acc = nonlinear_run
-        v = acc.worst
-        assert v <= 10.0 * (nonlinear_traj.dt + w16.grid.spacing**2)
+    def test_nonlinear_violation_small(self, w16):
+        dt = 1e-4
+        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        march(init_state(*NONLINEAR, w16), w16, dt=dt, t_final=0.02, step_callback=acc)
+        assert acc.worst <= 10.0 * (dt + w16.grid.spacing**2)
 
 
 class TestThetaDecay:

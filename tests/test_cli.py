@@ -212,6 +212,16 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="payload"):
             read_snapshot(str(p))
 
+    @pytest.mark.parametrize("size", [4, 6, 20, 47])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        snap = Snapshot(n=(2, 2, 2), length=1.0, alpha=1.5, t=0.0,
+                        fields={"phi1": np.zeros((2, 2, 2))})
+        p = tmp_path / "h.sgf"
+        write_snapshot(str(p), snap)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(SnapshotFormatError, match="header"):
+            read_snapshot(str(p))
+
 
 class TestCmdRun:
     def test_zero_data_writes_zero_series(self, tmp_path):
@@ -259,7 +269,7 @@ class TestCmdRun:
 
 class TestCmdAnalyze:
     def test_trajectory_uses_dt_of_the_run(self, tmp_path, monkeypatch):
-        import singflow.analysis
+        import singflow.cli
 
         text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
         cfg = parse_config_text(text)
@@ -269,13 +279,13 @@ class TestCmdAnalyze:
         assert dt_used < cfg.dt
 
         seen = []
-        check = singflow.analysis.check_max_principle
+        check = singflow.cli.check_max_principle
 
         def spy(traj, w):
             seen.append(traj)
             return check(traj, w)
 
-        monkeypatch.setattr(singflow.analysis, "check_max_principle", spy)
+        monkeypatch.setattr(singflow.cli, "check_max_principle", spy)
         assert cmd_analyze(str(out)) == 0
         assert [traj.dt for traj in seen] == [dt_used]
 
@@ -336,6 +346,19 @@ class TestMainEntry:
         assert rc == 2
         assert "[galerkin] t_final = 1e+250: 1e+253 steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [("snap_00009.sgf", b"SGF1\x01\x00"), ("snap_00000.sgf", b"NOPE" + b"\x00" * 64)],
+        ids=["short_header", "bad_magic"],
+    )
+    def test_analyze_bad_snapshot_exit_2(self, tmp_path, capsys, name, data):
+        out = tmp_path / "run"
+        assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
+        (out / name).write_bytes(data)
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

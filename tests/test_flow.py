@@ -395,24 +395,25 @@ class TestBitwiseAgainstOperators:
 
 class TestMarch:
     def test_final_state_and_callback_sequence_match_run(self, w16):
+        # with a snapshot every step, run's snapshots are every state march visits
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
-        seen = {"march": [], "run": []}
-
-        def recorder(name):
-            return lambda st: seen[name].append((st.t, st.phi1.copy(), st.phi2.copy()))
-
-        final = march(st0, w16, dt=1e-4, t_final=3e-3, step_callback=recorder("march"))
-        traj = run(st0, w16, dt=1e-4, t_final=3e-3, snapshot_interval=1e-3, step_callback=recorder("run"))
+        seen = []
+        final = march(
+            st0, w16, dt=1e-4, t_final=3e-3,
+            step_callback=lambda st: seen.append((st.t, st.phi1.copy(), st.phi2.copy())),
+        )
+        traj = run(st0, w16, dt=1e-4, t_final=3e-3, snapshot_interval=1e-4)
         for field in ("phi1", "phi2", "dphi1_dt", "dphi2_dt"):
             assert np.array_equal(getattr(final, field), getattr(traj.final, field)), field
         assert final.t == traj.final.t
-        assert len(seen["march"]) == len(seen["run"]) == 31
-        for (t_m, p1_m, p2_m), (t_r, p1_r, p2_r) in zip(seen["march"], seen["run"]):
-            assert t_m == t_r
-            assert np.array_equal(p1_m, p1_r)
-            assert np.array_equal(p2_m, p2_r)
+        assert len(seen) == len(traj.snapshots) == 31
+        for (t_m, p1_m, p2_m), snap in zip(seen, traj.snapshots):
+            assert t_m == snap.t
+            assert np.array_equal(p1_m, snap.phi1)
+            assert np.array_equal(p2_m, snap.phi2)
 
     def test_check_bochner_matches_run_with_accumulator(self):
+        # the accumulator streams each state of a plain march at both grids
         from singflow.analysis import BochnerAccumulator
         from singflow.config import build_problem, parse_config
         from singflow.verify import check_bochner
@@ -424,7 +425,7 @@ class TestMarch:
             w = build_problem(dataclasses.replace(cfg, n=n))[3]
             acc = BochnerAccumulator(w, pin_mask(w.rho))
             st0 = init_state(cfg.family, cfg.family_params, w)
-            run(st0, w, dt=dt, t_final=0.04, snapshot_interval=0.04, step_callback=acc)
+            march(st0, w, dt=dt, t_final=0.04, step_callback=acc)
             expected.append(acc.worst)
         got = [v["measured"] for v in check_bochner(cfg)[:2]]
         assert got == expected

@@ -87,6 +87,7 @@ class TestDistanceToCurve:
         g = TorusGrid(16, 1.0)
         gamma = CurveGamma.axis_line(0.5, 0.5)
         d = distance_to_curve(g, gamma)
+        assert d.rho_min_clamp == 0.5 * g.spacing
         assert np.all(d.rho >= d.rho_min_clamp)
 
     def test_transverse_offset_exact(self):

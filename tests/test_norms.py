@@ -121,8 +121,8 @@ class TestCstar2:
 
     def test_reports_ring_radius(self, w16):
         z = np.zeros(w16.grid.shape)
-        rep = cstar2_norm(z, z, w16.rho, 1.5, exclusion_radius=0.1)
-        assert rep.exclusion["ring_radius"] == 0.1
+        rep = cstar2_norm(z, z, w16.rho, 1.5)
+        assert rep.exclusion["ring_radius"] == 2.0 * w16.grid.spacing
 
     def test_norm_report_validates(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from singflow.operators import (
     DP_apply,
     P_residual,
     divergence,
-    drift_term,
     exact_inner,
     flow_rhs,
     gradient,
@@ -120,6 +119,11 @@ class TestAdjointness:
         )
 
 
+def drift_term(phi1, phi2, w):
+    """2 (grad phi2 + alpha grad h / h) . grad phi1, read off flow_rhs as Lap phi1 - dphi1/dt."""
+    return laplacian(phi1, w.grid.spacing) - flow_rhs(phi1, phi2, w)[0]
+
+
 class TestDrift:
     def test_constant_phi1(self, grid, weight16):
         phi1 = np.full(grid.shape, 0.3)
@@ -199,8 +203,8 @@ class TestPResidual:
             phi1 = smooth_field(grid, 10 + seed, amp=0.3)
             phi2 = smooth_field(grid, 20 + seed, amp=0.3)
             z = np.zeros(grid.shape)
-            e1, _ = P_residual(phi1, phi2, z, z, weight16)
-            c1, _ = P_residual(phi1, phi2, z, z, weight16, conservative=True)
+            e1 = -flow_rhs(phi1, phi2, weight16)[0]  # expanded form of P's first component
+            c1, _ = P_residual(phi1, phi2, z, z, weight16)
             far = weight16.rho.rho_unclamped > 0.1
             diffs.append(np.max(np.abs((e1 - c1)[far])))
             scales.append(np.max(np.abs(e1[far])))
@@ -209,11 +213,15 @@ class TestPResidual:
         assert max(diffs) <= 4e3 * grid.spacing**2 * max(scales)
 
     def test_flow_rhs_consistent_with_P(self, grid, weight16):
+        # P at flow_rhs's own time derivatives: the second components share
+        # their form and cancel to rounding; the first differ by the
+        # conservative-vs-expanded O(spacing^2) of the test above
         phi1 = smooth_field(grid, 30, amp=0.1)
         phi2 = smooth_field(grid, 31, amp=0.1)
         r1, r2 = flow_rhs(phi1, phi2, weight16)
         p1, p2 = P_residual(phi1, phi2, r1, r2, weight16)
-        assert np.max(np.abs(p1)) < 1e-10
+        far = weight16.rho.rho_unclamped > 0.1
+        assert np.max(np.abs(p1[far])) <= 4e3 * grid.spacing**2 * np.max(np.abs(r1[far]))
         assert np.max(np.abs(p2)) < 1e-10
 
 
@@ -245,9 +253,8 @@ class TestDPApply:
             d1, d2 = DP_apply(phi1, phi2, k1, k2, weight16)
             errs = []
             for eps in (1e-2, 1e-3, 1e-4):
-                p1a, p2a = P_residual(phi1 + eps * k1, phi2 + eps * k2, z, z, weight16,
-                                      conservative=True)
-                p1b, p2b = P_residual(phi1, phi2, z, z, weight16, conservative=True)
+                p1a, p2a = P_residual(phi1 + eps * k1, phi2 + eps * k2, z, z, weight16)
+                p1b, p2b = P_residual(phi1, phi2, z, z, weight16)
                 fd1 = (p1a - p1b) / eps
                 fd2 = (p2a - p2b) / eps
                 errs.append(max(np.max(np.abs(fd1 - d1)), np.max(np.abs(fd2 - d2))))

@@ -1,8 +1,8 @@
-"""Every module-level function and class in the package is used by the package.
+"""Every function, class and method in the package is used by the package.
 
-A private (`_name`) `def` or `class` at module level counts as used when any
-module of the package names it: a call, an attribute access such as
-`flow._grad_and_lap`, or an import.
+A private (`_name`) `def` or `class` at module level, or a private method,
+counts as used when any module of the package names it: a call, an attribute
+access such as `flow._grad_and_lap`, or an import. Dunder methods are left out.
 
 A public one counts as used only when a module of the package reads it: a
 `Name` or `Attribute` load. An import alone, such as a re-export from
@@ -45,18 +45,23 @@ def names_used(trees, with_imports: bool) -> set[str]:
 
 
 def _module_defs(trees: dict[str, ast.Module]):
-    for name, tree in trees.items():
+    """(module, qualified name, name) of each module-level def and class and of each method."""
+    for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield name, node.name
+                yield module, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield module, f"{node.name}.{item.name}", item.name
 
 
 def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(src) for name, src in sources.items()}
     used = names_used(trees.values(), with_imports=True)
     return [
-        f"{module}:{name}"
-        for module, name in _module_defs(trees)
+        f"{module}:{qualname}"
+        for module, qualname, name in _module_defs(trees)
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
 
@@ -65,8 +70,8 @@ def unread_public_defs(sources: dict[str, str]) -> list[str]:
     trees = {name: ast.parse(src) for name, src in sources.items()}
     read = names_used(trees.values(), with_imports=False)
     return [
-        f"{module}:{name}"
-        for module, name in _module_defs(trees)
+        f"{module}:{qualname}"
+        for module, qualname, name in _module_defs(trees)
         if not name.startswith("_") and name not in read
     ]
 
@@ -90,6 +95,19 @@ def test_public_scanner_counts_reads_only():
         "f = a.via_attr\na.Stored = None\n",
     }
     assert unread_public_defs(sources) == ["a.py:exported", "a.py:Stored", "b.py:user"]
+
+
+def test_scanners_cover_methods():
+    sources = {
+        "a.py": "class K:\n    def __init__(self):\n        self._used()\n\n"
+        "    def _used(self):\n        pass\n\n    def _dead(self):\n        pass\n\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def unread(self, which='x'):\n        pass\n\n"
+        "def make():\n    return K().size\n",
+        "b.py": "from a import make\n\nmake()\n",
+    }
+    assert unread_public_defs(sources) == ["a.py:K.unread"]
+    assert unreferenced_private_defs(sources) == ["a.py:K._dead"]
 
 
 def test_no_unreferenced_private_defs():

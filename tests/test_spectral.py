@@ -295,7 +295,7 @@ class TestAssembly:
         )
         assert np.max(np.abs(sys0.B)) < 1e-14
         assert np.max(np.abs(sys0.D)) < 1e-14
-        lam_grad = basis.eigenvalues("grad")
+        lam_grad = np.array([m.lambda_grad for m in basis.modes])
         off_diag = sys0.C - np.diag(np.diag(sys0.C))
         assert np.max(np.abs(off_diag)) < 1e-10
         assert np.max(np.abs(np.diag(sys0.C) - lam_grad)) < 1e-9 * max(lam_grad.max(), 1.0)
@@ -515,7 +515,7 @@ class TestEnergyEstimate:
 
 class TestForcing:
     def test_trig_damped_matches_closed_form(self, grid, w16):
-        from singflow.cli import galerkin_forcing
+        from singflow.spectral import galerkin_forcing
 
         f1, f2 = galerkin_forcing("trig_damped", grid, w16.rho)
         x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
