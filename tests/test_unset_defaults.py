@@ -1,9 +1,9 @@
 """Every parameter default in the package is overridden by some package call.
 
-The scan covers module-level functions and the methods of module-level
-classes. A parameter with a default that no call in `src/singflow` ever sets is an
+A parameter with a default that no call in `src/singflow` ever sets is an
 option nobody uses: the value it always takes belongs in the body as a
-constant. The scan matches calls to definitions by name (`f(...)` and
+constant. The scan covers module-level functions and the methods of
+module-level classes, and matches calls to them by name (`f(...)` and
 `obj.f(...)`), so a call to any same-named function counts. A call sets a
 parameter when it passes it by keyword, or passes enough positional arguments
 to reach it; a `*args` or `**kwargs` argument counts as setting every
