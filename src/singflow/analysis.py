@@ -218,37 +218,30 @@ def theta_decay_check(
     traj: Trajectory,
     w: WeightField,
     window: tuple[float, float],
-    rate_slack: float = 0.8,
-    r2_min: float = 0.9,
+    rate_slack: float,
+    r2_min: float,
 ) -> dict:
     """Monotonicity of int theta^2 plus log-linear decay fits.
 
     Fits the squared-speed integral (reference rate 2*lambda_1) and the
     weighted pointwise sup series rho^{3/2-a}|dphi1| + rho^{3/2}|dphi2|
-    (reference lambda_1/2). Both use robust log-series. `max_step_increase`
-    is the largest relative one-step growth of int theta^2.
+    (reference lambda_1/2). Both use robust log-series, and a fit raises
+    ValueError when its window holds fewer than 10 finite samples.
+    `max_step_increase` is the largest relative one-step growth of int theta^2.
     """
     times = traj.column("t")
     log_t2 = traj.column("log_theta2")
-
-    finite = np.isfinite(log_t2)
-    if not np.any(finite):
-        return {"verdict": "empty", "monotone": True, "max_step_increase": 0.0, "fits": []}
-
     c0 = 2.0 * stencil_symbol((1, 0, 0), w.grid)
-    diffs = np.diff(log_t2[finite])
-    monotone = bool(np.all(diffs <= np.log1p(1e-10)))
-    max_step_increase = float(np.max(np.expm1(diffs))) if diffs.size else 0.0
-
     log_sup = _log_positive(traj.column("weighted_dt_sup"))
     fits = [
         fit_decay_rate_log(times, log_t2, window, "theta_l2_integral", c0, rate_slack, r2_min),
         fit_decay_rate_log(times, log_sup, window, "weighted_dt_sup", c0 / 4.0, rate_slack, r2_min),
     ]
+
+    diffs = np.diff(log_t2[np.isfinite(log_t2)])  # not empty: the first fit read 10 samples
     return {
-        "verdict": "fitted",
-        "monotone": monotone,
-        "max_step_increase": max_step_increase,
+        "monotone": bool(np.all(diffs <= np.log1p(1e-10))),
+        "max_step_increase": float(np.max(np.expm1(diffs))),
         "fits": fits,
     }
 
@@ -347,12 +340,15 @@ def cstar2_to_final(traj: Trajectory, w: WeightField) -> np.ndarray:
 def convergence_report(
     traj: Trajectory,
     w: WeightField,
-    window: tuple[float, float] | None = None,
-    rate_slack: float = 0.8,
-    r2_min: float = 0.9,
+    window: tuple[float, float],
+    rate_slack: float,
+    r2_min: float,
 ) -> dict:
     """Exponential convergence of phi(t) to the final snapshot in the weighted
-    second-order sup norm, plus the steady residual at the end state."""
+    second-order sup norm, plus the steady residual at the end state.
+
+    The fit raises ValueError when its window holds fewer than 10 snapshots
+    that differ from the final one."""
     log_t2 = traj.column("log_theta2")
     finite = np.isfinite(log_t2)
     if np.any(finite) and log_t2[finite].size >= 2:
@@ -361,13 +357,7 @@ def convergence_report(
             raise ValueError("final time too early: int theta^2 has not decayed by 1e3")
 
     times = np.asarray(traj.snapshot_times)
-    series = cstar2_to_final(traj, w)
-    residual = steady_residual(traj.final, w)
-    if np.all(series == 0.0):
-        return {"verdict": "converged at t=0", "fit": None, "steady_residual": residual}
-    if window is None:
-        window = (1.0, times[-1] / 2.0)
     reference = 2.0 * stencil_symbol((1, 0, 0), w.grid) / 4.0
-    log_series = _log_positive(series)
+    log_series = _log_positive(cstar2_to_final(traj, w))
     fit = fit_decay_rate_log(times, log_series, window, "cstar2_to_final", reference, rate_slack, r2_min)
-    return {"verdict": "fitted", "fit": fit, "steady_residual": residual}
+    return {"fit": fit, "steady_residual": steady_residual(traj.final, w)}

@@ -62,8 +62,7 @@ def _write_series(out_dir: str, traj) -> None:
     write_csv(os.path.join(out_dir, "series_aux.csv"), AUX_COLUMNS, aux_rows)
 
 
-def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> list[str]:
-    paths = []
+def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> None:
     for idx, (t, state) in enumerate(zip(traj.snapshot_times, traj.snapshots)):
         snap = Snapshot(
             n=(cfg.n, cfg.n, cfg.n),
@@ -77,10 +76,7 @@ def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> list[str]:
                 "dphi2_dt": state.dphi2_dt,
             },
         )
-        path = os.path.join(out_dir, f"snap_{idx:05d}.sgf")
-        write_snapshot(path, snap)
-        paths.append(path)
-    return paths
+        write_snapshot(os.path.join(out_dir, f"snap_{idx:05d}.sgf"), snap)
 
 
 def _write_convergence(out_dir: str, traj, w) -> None:
@@ -90,7 +86,7 @@ def _write_convergence(out_dir: str, traj, w) -> None:
 
 def cmd_run(cfg: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    grid, gamma, rho, w = build_problem(cfg)
+    w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
     dt = cfg.dt  # a whole fraction of t_final under dt_policy = fixed (see config)
     if cfg.dt_policy == "cfl":
@@ -124,10 +120,10 @@ def _matrix_rows(M):
 
 def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    grid, gamma, rho, w = build_problem(cfg)
+    w = build_problem(cfg)
     phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
-    basis = build_basis(grid, cfg.galerkin_N)
-    f1, f2 = galerkin_forcing(cfg.galerkin_forcing, grid, rho)
+    basis = build_basis(w.grid, cfg.galerkin_N)
+    f1, f2 = galerkin_forcing(cfg.galerkin_forcing, w.grid, w.rho)
     times = np.arange(0.0, cfg.galerkin_t_final + 1e-12, cfg.galerkin_dt)
     system = assemble_galerkin(phi0_1, phi0_2, w, basis, f1, f2, times)
     integrate_ode(system, T=cfg.galerkin_t_final, dt=cfg.galerkin_dt)
@@ -164,9 +160,12 @@ def _load_series(run_dir: str):
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             cols = {name: [] for name in header}
-            for line in fh:
-                for name, val in zip(header, line.strip().split(",")):
-                    cols[name].append(float(val))
+            try:
+                for line in fh:
+                    for name, val in zip(header, line.strip().split(",")):
+                        cols[name].append(float(val))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         for name, vals in cols.items():
             out.setdefault(name, np.asarray(vals))
     return out
@@ -181,12 +180,15 @@ def cmd_analyze(run_dir: str) -> int:
         print(f"error: {summary_path} not found (not a run directory?)", file=sys.stderr)
         return 2
 
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
-    cfg_dict = dict(summary["config"])
-    cfg_dict["circle_center"] = tuple(cfg_dict["circle_center"])
-    cfg = RunConfig(**cfg_dict)
-    grid, gamma, rho, w = build_problem(cfg)
+    try:
+        with open(summary_path, "r", encoding="utf-8") as fh:
+            echo = json.load(fh)["config"]
+        series = _load_series(run_dir)
+    except (ValueError, KeyError, TypeError) as exc:
+        print(f"error: malformed run directory {run_dir!r}: {exc!r}", file=sys.stderr)
+        return 2
+    cfg = RunConfig.from_dict(echo, source=f"{summary_path} config")
+    w = build_problem(cfg)
 
     snap_paths = sorted(
         os.path.join(run_dir, f) for f in os.listdir(run_dir) if f.endswith(".sgf")
@@ -202,11 +204,7 @@ def cmd_analyze(run_dir: str) -> int:
         )
         for s in snaps
     ]
-    series = _load_series(run_dir)
-
-    traj = Trajectory(
-        dt=summary["dt_used"], series={k: list(v) for k, v in series.items()}, snapshots=states
-    )
+    traj = Trajectory(series={k: list(v) for k, v in series.items()}, snapshots=states)
 
     reports: dict = {"decay": [], "bounds": [], "norms": []}
     window = (cfg.fit_window_start, min(cfg.fit_window_end, traj.final.t))
@@ -224,7 +222,7 @@ def cmd_analyze(run_dir: str) -> int:
         reports["bounds"].append(rep.as_dict())
 
     final = traj.final
-    reports["norms"].append(cstar2_norm(final.phi1, final.phi2, rho, cfg.alpha).as_dict())
+    reports["norms"].append(cstar2_norm(final.phi1, final.phi2, w.rho, cfg.alpha).as_dict())
     try:
         reports["norms"].append(
             {
@@ -239,13 +237,13 @@ def cmd_analyze(run_dir: str) -> int:
         reports["norms"].append({"name": "log_h_harmonicity_residual", "verdict": f"skipped: {exc}"})
     if len(states) >= 3:
         reports["norms"].append(
-            w212_norm([(s.t, s.phi1) for s in states], rho, cfg.alpha).as_dict()
+            w212_norm([(s.t, s.phi1) for s in states], w.rho, cfg.alpha).as_dict()
         )
         gamma_exp = min(2.0 * cfg.alpha - 0.25, 2.5)
         reports["norms"].append(
             sampled_holder_seminorm(
                 [(s.t, s.phi1) for s in states],
-                rho,
+                w.rho,
                 gamma=gamma_exp,
                 beta=0.5,
                 n_pairs=cfg.holder_pairs,
@@ -254,7 +252,7 @@ def cmd_analyze(run_dir: str) -> int:
         )
     try:
         slope, err = exponent_fit(
-            np.abs(final.phi1), rho, (cfg.shell_lo, cfg.shell_hi), n_shells=6
+            np.abs(final.phi1), w.rho, (cfg.shell_lo, cfg.shell_hi), n_shells=6
         )
         reports["decay"].append(
             {"quantity": "phi1_final_shell_slope", "slope": slope, "stderr": err}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(Exception):
@@ -42,7 +42,6 @@ class RunConfig:
     family_c: float = 1.0
     family_a: float = 0.0
     family_b: float = 0.0
-    scheme: str = "imex"
     dt_policy: str = "fixed"
     dt: float = 1e-4
     cfl_factor: float = 0.25
@@ -73,6 +72,19 @@ class RunConfig:
         d["circle_center"] = list(d["circle_center"])
         return d
 
+    @classmethod
+    def from_dict(cls, d: dict, source: str) -> "RunConfig":
+        """The config that `as_dict` wrote, held to the parser's rules; raises ConfigError."""
+        names = {f.name for f in fields(cls)}
+        errors = [f"unknown key {k!r}" for k in sorted(d.keys() - names)]
+        errors += [f"missing key {k!r}" for k in sorted(names - d.keys())]
+        if not errors:
+            cfg = cls(**{**d, "circle_center": tuple(d["circle_center"])})
+            _validate(cfg, errors)
+        if errors:
+            raise ConfigError([f"{source}: {e}" for e in errors])
+        return cfg
+
 
 # (section, key) -> (attribute, converter)
 _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
@@ -92,7 +104,6 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
     ("flow", "c"): ("family_c", "float"),
     ("flow", "a"): ("family_a", "float"),
     ("flow", "b"): ("family_b", "float"),
-    ("flow", "scheme"): ("scheme", "str"),
     ("flow", "dt_policy"): ("dt_policy", "str"),
     ("flow", "dt"): ("dt", "float"),
     ("flow", "cfl_factor"): ("cfl_factor", "float"),
@@ -171,8 +182,6 @@ def _validate(cfg: RunConfig, errors: list[str]):
         )
     if cfg.family not in ("zero", "poly_cutoff", "trig", "poly_cutoff+trig"):
         errors.append(f"[flow] family = {cfg.family!r}: unknown initial-data family")
-    if cfg.scheme != "imex":
-        errors.append(f"[flow] scheme = {cfg.scheme!r}: only imex is implemented")
     if cfg.dt_policy not in ("fixed", "cfl"):
         errors.append(f"[flow] dt_policy = {cfg.dt_policy!r}: must be fixed or cfl")
     for name in ("dt", "t_final", "snapshot_interval", "cfl_factor"):
@@ -284,7 +293,7 @@ def parse_config(path: str) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig, near_radius: float | None = None):
-    """Instantiate (grid, curve, distance field, weight) from a config.
+    """The weight field of a config, with its grid and distance field.
 
     near_radius, when given, replaces the distance field's default near-curve radius.
     """
@@ -299,5 +308,4 @@ def build_problem(cfg: RunConfig, near_radius: float | None = None):
             cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
         )
     rho = distance_to_curve(grid, gamma, near_radius=near_radius)
-    w = build_weight(rho, alpha=cfg.alpha, tol=cfg.solver_tol)
-    return grid, gamma, rho, w
+    return build_weight(rho, alpha=cfg.alpha, tol=cfg.solver_tol)

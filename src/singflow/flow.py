@@ -323,7 +323,6 @@ SERIES_COLUMNS = (
 
 @dataclass
 class Trajectory:
-    dt: float
     series: dict  # column -> list of floats, plus log/sup extras
     snapshots: list[FlowState]
 
@@ -483,4 +482,4 @@ def run(
             snapshots.append(state.copy())
 
     march(state0, w, dt, t_final, step_callback=on_state)
-    return Trajectory(dt=dt, series=series, snapshots=snapshots)
+    return Trajectory(series=series, snapshots=snapshots)

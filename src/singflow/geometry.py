@@ -124,17 +124,14 @@ class DistanceField:
     """Clamped periodic distance to Gamma plus grid-artifact masks.
 
     smooth_mask is True where rho is a trustworthy smooth distance: it excludes
-    the near-curve shell (below near_radius) and the cut locus of the periodic
-    distance, where rho has a ridge. grad_rho holds the analytic unit-speed
-    gradient where available (axis_line), else a centered-difference gradient.
+    the near-curve shell and the cut locus of the periodic distance, where rho
+    has a ridge. grad_rho holds the analytic unit-speed gradient where
+    available (axis_line), else a centered-difference gradient.
     """
 
     grid: TorusGrid
-    gamma: CurveGamma
     rho: np.ndarray
     rho_unclamped: np.ndarray
-    rho_min_clamp: float
-    near_radius: float
     smooth_mask: np.ndarray
     ridge_mask: np.ndarray
     grad_rho: np.ndarray
@@ -212,7 +209,6 @@ def distance_to_curve(
     studies built on the mask compare like regions.
     """
     gamma.validate_resolution(grid)
-    rho_min_clamp = 0.5 * grid.spacing
     if near_radius is None:
         near_radius = max(4.0 * grid.spacing, grid.length / 8.0)
 
@@ -223,15 +219,12 @@ def distance_to_curve(
     else:
         raise ValueError(f"unknown curve kind {gamma.kind!r}")
 
-    rho = np.maximum(rho_raw, rho_min_clamp)
+    rho = np.maximum(rho_raw, 0.5 * grid.spacing)
     smooth = (rho_raw >= near_radius) & ~ridge
     return DistanceField(
         grid=grid,
-        gamma=gamma,
         rho=rho,
         rho_unclamped=rho_raw,
-        rho_min_clamp=float(rho_min_clamp),
-        near_radius=float(near_radius),
         smooth_mask=smooth,
         ridge_mask=ridge,
         grad_rho=grad,

@@ -3,10 +3,7 @@
 The eigenfunctions of -Lap on the torus are real sin/cos modes, normalized to
 unit grid L^2 norm and ordered by continuum eigenvalue with lexicographic
 wave-vector tie-breaking (cos before sin), so assembled matrices are
-reproducible. Each mode carries three eigenvalues: the continuum symbol
-4 pi^2 |k|^2 / L^2, the 7-point stencil symbol (used by the heat propagator),
-and the centered-gradient symbol (which appears on the diagonal of the
-stiffness-type matrices assembled with the adjoint div/grad pair).
+reproducible.
 
 The projected system for coefficients (C1, C2) of (k1, k2) is
 
@@ -35,22 +32,8 @@ import numpy as np
 
 from singflow.config import ConfigError
 from singflow.geometry import TorusGrid
-from singflow.operators import gradient, grid_inner, stencil_symbol
+from singflow.operators import gradient, grid_inner
 from singflow.weight import WeightField, weight_power
-
-
-@dataclass(frozen=True)
-class Mode:
-    wavevector: tuple[int, int, int]
-    kind: str  # 'const', 'cos' or 'sin'
-    lambda_continuum: float
-    lambda_stencil: float
-    lambda_grad: float
-
-
-def grad_eigenvalue(k, grid: TorusGrid) -> float:
-    s, L = grid.spacing, grid.length
-    return sum(np.sin(2 * np.pi * ki * s / L) ** 2 for ki in k) / s**2
 
 
 def _wavevector_representatives(kmax: int):
@@ -80,7 +63,6 @@ def _gradients(fields: np.ndarray, spacing: float) -> np.ndarray:
 @dataclass
 class SpectralBasis:
     grid: TorusGrid
-    modes: list[Mode]
     fields: np.ndarray  # (N, n, n, n)
     grads: np.ndarray = field(init=False)  # (N, 3, n, n, n)
 
@@ -89,7 +71,7 @@ class SpectralBasis:
 
     @property
     def size(self) -> int:
-        return len(self.modes)
+        return len(self.fields)
 
 
 def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
@@ -121,25 +103,16 @@ def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
         raise ValueError("basis includes modes at or above the grid Nyquist wavenumber")
 
     x1, x2, x3 = grid.coords
-    modes, fields = [], []
-    for lam_c, k, _, kind in entries:
+    fields = []
+    for _, k, _, kind in entries:
         if kind == "const":
             f = np.full(grid.shape, 1.0 / np.sqrt(volume))
         else:
             phase = 2 * np.pi * (k[0] * x1 + k[1] * x2 + k[2] * x3) / grid.length
             base = np.cos(phase) if kind == "cos" else np.sin(phase)
             f = np.sqrt(2.0 / volume) * np.broadcast_to(base, grid.shape)
-        modes.append(
-            Mode(
-                wavevector=k,
-                kind=kind,
-                lambda_continuum=lam_c,
-                lambda_stencil=stencil_symbol(k, grid),
-                lambda_grad=grad_eigenvalue(k, grid),
-            )
-        )
         fields.append(np.ascontiguousarray(f))
-    return SpectralBasis(grid=grid, modes=modes, fields=np.stack(fields))
+    return SpectralBasis(grid=grid, fields=np.stack(fields))
 
 
 @dataclass

@@ -73,7 +73,8 @@ def _smooth_direction(grid, rng):
 def check_operator_linearization(cfg: RunConfig) -> list[dict]:
     """Finite-difference directional derivative of the flow operator converges
     linearly in epsilon toward the assembled linearization."""
-    grid, _, _, w = build_problem(cfg)
+    w = build_problem(cfg)
+    grid = w.grid
     phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.3}, w)
     _, phi0_2 = initial_fields("trig", {"a": 0.4, "b": 0.3}, w)
     z = np.zeros(grid.shape)
@@ -102,10 +103,11 @@ def _galerkin_setup(cfg: RunConfig, N: int, dt: float, T: float):
     The battery's oracle runs at N = 4, dt = 2e-4 and T = 0.3, fixed by its
     caller and independent of the config's [galerkin] section.
     """
-    grid, _, rho, w = build_problem(cfg)
+    w = build_problem(cfg)
+    grid = w.grid
     phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
     _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
-    f1, f2 = galerkin_forcing("trig_damped", grid, rho)
+    f1, f2 = galerkin_forcing("trig_damped", grid, w.rho)
     times = np.arange(0.0, T + 1e-12, dt)
     system = assemble_galerkin(phi0_1, phi0_2, w, basis=build_basis(grid, N), f1=f1, f2=f2, times=times)
     return system, f1, f2
@@ -268,9 +270,10 @@ def _energy_corpus(grid, rho):
 
 
 def check_energy_estimate(cfg: RunConfig) -> list[dict]:
-    grid, _, rho, w = build_problem(cfg)
+    w = build_problem(cfg)
+    grid = w.grid
     ratios = []
-    for family_spec, f1, f2 in _energy_corpus(grid, rho):
+    for family_spec, f1, f2 in _energy_corpus(grid, w.rho):
         family, params = family_spec
         phi0_1, phi0_2 = initial_fields(family, params, w)
         for N in (4, 8, 16):
@@ -290,7 +293,7 @@ def check_energy_estimate(cfg: RunConfig) -> list[dict]:
 
 
 def _standard_run(cfg: RunConfig):
-    w = build_problem(cfg)[3]
+    w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
     traj = run(
         state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval
@@ -317,11 +320,11 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
     T = 0.04
     results = {}
     for label, n, dt in (("coarse", cfg.n, 2e-4), ("fine", 2 * cfg.n, 1e-4)):
-        grid, _, rho, w = build_problem(dataclasses.replace(cfg, n=n))
+        w = build_problem(dataclasses.replace(cfg, n=n))
         state0 = init_state(cfg.family, cfg.family_params, w)
-        acc = BochnerAccumulator(w, pin_mask(rho))
+        acc = BochnerAccumulator(w, pin_mask(w.rho))
         march(state0, w, dt=dt, t_final=T, step_callback=acc)
-        results[label] = {"violation": acc.worst, "bound": 10.0 * (dt + grid.spacing**2)}
+        results[label] = {"violation": acc.worst, "bound": 10.0 * (dt + w.grid.spacing**2)}
     coarse, fine = results["coarse"], results["fine"]
     shrink = coarse["bound"] / fine["bound"]
     return [
@@ -346,7 +349,7 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
 def _theta_run(cfg: RunConfig):
     # phi1 = 0 is an exact solution branch: the system reduces to the heat
     # equation, whose pure decay stays representable over the [1, 5] window
-    w = build_problem(cfg)[3]
+    w = build_problem(cfg)
     state0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
     traj = run(
         state0, w, dt=1e-3, t_final=cfg.t_final, snapshot_interval=0.1, conserve_phi2_mean=True
@@ -378,12 +381,10 @@ def check_convergence(traj, w, cfg: RunConfig) -> list[dict]:
         traj, w, window=(1.0, traj.final.t / 2.0), rate_slack=cfg.rate_slack, r2_min=cfg.r2_min
     )
     res1, res2 = rep["steady_residual"]
-    wsup_T = traj.column("weighted_dt_sup")[-1]
-    ref = 10.0 * math.sqrt(wsup_T**2) if wsup_T > 0 else 0.0
     res_sum = res1 + res2
-    ratio_pass = res_sum <= 10.0 * wsup_T or (res_sum == 0.0 and wsup_T == 0.0)
+    ref = 10.0 * traj.column("weighted_dt_sup")[-1]
     return _fit_verdicts("cstar2_convergence", rep["fit"]) + [
-        verdict("steady_residual_vs_theta", ratio_pass, res_sum, ref, 0.0),
+        verdict("steady_residual_vs_theta", res_sum <= ref, res_sum, ref, 0.0),
     ]
 
 
@@ -420,9 +421,9 @@ def _curve_adjacent_centers(grid, rho):
 
 
 def check_epsilon_regularity(cfg: RunConfig) -> list[dict]:
-    grid, _, rho, w = build_problem(cfg)
+    w = build_problem(cfg)
     state0 = init_state("poly_cutoff", {"c": 0.05}, w)
-    centers = _curve_adjacent_centers(grid, rho)
+    centers = _curve_adjacent_centers(w.grid, w.rho)
 
     scan0 = epsilon_regularity_scan(state0, w, centers)
     best_ratio = max(
@@ -443,7 +444,7 @@ def check_weight_construction(cfg: RunConfig) -> list[dict]:
     residuals = {}
     shell_dev = 0.0
     for n in (16, 32, 64):
-        w = build_problem(dataclasses.replace(cfg, n=n), near_radius=0.25 * cfg.length)[3]
+        w = build_problem(dataclasses.replace(cfg, n=n), near_radius=0.25 * cfg.length)
         residuals[n] = harmonicity_residual(w, exclusion_radius=0.3 * cfg.length)
         lo, hi = log_asymptotics_shell(w)
         shell_dev = max(shell_dev, abs(lo - 1.0), abs(hi - 1.0))

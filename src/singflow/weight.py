@@ -31,7 +31,7 @@ class WeightSourceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class WeightField:
-    """h = rho e^u and derived quantities used by the flow operators.
+    """h = rho e^u, kept as log h, and derived quantities used by the flow operators.
 
     Frozen, so the cached fields derived from it cannot go stale; use
     dataclasses.replace for a variant (it starts with an empty cache).
@@ -39,8 +39,6 @@ class WeightField:
 
     grid: TorusGrid
     rho: DistanceField
-    u: np.ndarray
-    h: np.ndarray
     log_h: np.ndarray
     grad_log_h: np.ndarray
     alpha: float
@@ -102,14 +100,11 @@ def poisson_solve_mean_zero(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_u(
-    grid: TorusGrid,
-    rho: np.ndarray,
-    source_mask: np.ndarray | None = None,
-    tol: float = 1e-10,
+    grid: TorusGrid, rho: np.ndarray, source_mask: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
     """Zero-mean u with -Lap u = Lap(log rho) restricted to the source mask.
 
-    rho must be clamped positive. source_mask=None uses the full discrete
+    rho must be clamped positive. An all-True mask uses the full discrete
     source (appropriate for manufactured smooth rho without a curve).
     """
     from singflow.operators import laplacian
@@ -128,8 +123,7 @@ def solve_u(
             stacklevel=2,
         )
 
-    if source_mask is not None:
-        rhs = np.where(source_mask, rhs, 0.0)
+    rhs = np.where(source_mask, rhs, 0.0)
     rhs = rhs - rhs.mean()
 
     u = poisson_solve_mean_zero(grid, rhs)
@@ -145,7 +139,7 @@ def solve_u(
 
 
 def assemble_weight(rho: DistanceField, u: np.ndarray, alpha: float) -> WeightField:
-    """Populate h = rho e^u, log h, and grad(h)/h = grad(rho)/rho + grad u.
+    """Populate log h = log rho + u and grad(h)/h = grad(rho)/rho + grad u.
 
     grad rho comes from the distance field (analytic for axis lines), grad u
     from centered differences.
@@ -154,11 +148,8 @@ def assemble_weight(rho: DistanceField, u: np.ndarray, alpha: float) -> WeightFi
 
     grid = rho.grid
     log_h = np.log(rho.rho) + u
-    h = rho.rho * np.exp(u)
     grad_log_h = rho.grad_rho / rho.rho[None] + gradient(u, grid.spacing)
-    return WeightField(
-        grid=grid, rho=rho, u=u, h=h, log_h=log_h, grad_log_h=grad_log_h, alpha=alpha
-    )
+    return WeightField(grid=grid, rho=rho, log_h=log_h, grad_log_h=grad_log_h, alpha=alpha)
 
 
 def build_weight(rho: DistanceField, alpha: float, tol: float = 1e-10) -> WeightField:

@@ -135,6 +135,24 @@ def poincare_ratio(wb: WeightedBasis, w: WeightField, coeffs: np.ndarray) -> flo
     return num / den
 
 
+def mode_wavevector(f: np.ndarray, grid: TorusGrid) -> tuple[int, int, int]:
+    """Wave-vector, up to sign, of a field that holds one Fourier mode: the peak of |rfftn f|."""
+    spectrum = np.abs(np.fft.rfftn(f))
+    peak = np.unravel_index(np.argmax(spectrum), spectrum.shape)
+    return tuple(int(i) if i <= grid.n // 2 else int(i) - grid.n for i in peak)
+
+
+def continuum_symbol(k, grid: TorusGrid) -> float:
+    """Eigenvalue 4 pi^2 |k|^2 / L^2 of the continuum -Laplacian on the mode k."""
+    return (2 * np.pi / grid.length) ** 2 * sum(ki * ki for ki in k)
+
+
+def grad_symbol(k, grid: TorusGrid) -> float:
+    """Eigenvalue sum_i sin^2(2 pi k_i s / L) / s^2 of -div grad with centered differences."""
+    s, L = grid.spacing, grid.length
+    return sum(np.sin(2 * np.pi * ki * s / L) ** 2 for ki in k) / s**2
+
+
 def heat_propagator_factors(grid: TorusGrid, dt: float):
     """Crank-Nicolson half-step factors (1/(1 + dt/2 L), 1 - dt/2 L), rfftn layout."""
     sym = stencil_symbol(rfft_wavevectors(grid), grid)

@@ -72,8 +72,9 @@ def battery(tmp_path_factory):
     assert verdict_path.exists(), f"verify produced no verdicts; stderr:\n{proc.stderr}"
     with open(verdict_path) as fh:
         payload = json.load(fh)
+    names = [v["check_name"] for v in payload["verdicts"]]
     verdicts = {v["check_name"]: v for v in payload["verdicts"]}
-    return {"exit_code": proc.returncode, "verdicts": verdicts, "stdout": proc.stdout}
+    return {"exit_code": proc.returncode, "names": names, "verdicts": verdicts, "stdout": proc.stdout}
 
 
 def _assert_criterion(battery, key):
@@ -93,8 +94,10 @@ def test_criterion(battery, key):
 
 
 def test_all_checks_present(battery):
-    expected = {name for names in CRITERIA.values() for name in names}
-    assert expected <= set(battery["verdicts"])
+    # every criterion's verdicts and no other, each exactly once
+    expected = [name for names in CRITERIA.values() for name in names]
+    assert len(expected) == len(set(expected)) == 26
+    assert sorted(battery["names"]) == sorted(expected)
 
 
 def test_cmd_verify_exit_code_zero(battery):

@@ -269,6 +269,7 @@ class TestCmdRun:
 
 class TestCmdAnalyze:
     def test_trajectory_uses_dt_of_the_run(self, tmp_path, monkeypatch):
+        # the trajectory carries the run's series, whose steps are dt_used, not the config's dt
         import singflow.cli
 
         text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
@@ -287,7 +288,9 @@ class TestCmdAnalyze:
 
         monkeypatch.setattr(singflow.cli, "check_max_principle", spy)
         assert cmd_analyze(str(out)) == 0
-        assert [traj.dt for traj in seen] == [dt_used]
+        [traj] = seen
+        assert np.diff(traj.column("t")) == pytest.approx(dt_used, rel=1e-9)
+        assert traj.final.t == pytest.approx(cfg.t_final, rel=1e-12)
 
 
 class TestCmdGalerkin:
@@ -321,8 +324,8 @@ class TestCircleCurve:
         assert cmd_run(cfg, str(out)) == 0
         from singflow.config import build_problem
 
-        _, _, rho, w = build_problem(cfg)
-        assert np.max(np.abs(w.u)) < 1.0
+        w = build_problem(cfg)
+        assert np.max(np.abs(w.log_h - np.log(w.rho.rho))) < 1.0
         assert np.all(np.isfinite(w.grad_log_h))
 
 
@@ -359,6 +362,47 @@ class TestMainEntry:
         assert main(["analyze", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c.update(scheme="imex"), "summary.json config: unknown key 'scheme'"),
+            (lambda c: c.pop("seed"), "summary.json config: missing key 'seed'"),
+            (lambda c: c.update(alpha=0.5), "alpha must exceed 1"),
+        ],
+        ids=["unknown_key", "missing_key", "alpha_below_one"],
+    )
+    def test_analyze_bad_config_echo_exit_2(self, tmp_path, capsys, edit, message):
+        # the echoed config is held to the parser's rules
+        out = tmp_path / "run"
+        assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
+        path = out / "summary.json"
+        summary = json.loads(path.read_text())
+        edit(summary["config"])
+        path.write_text(json.dumps(summary))
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_analyze_bad_summary_json_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
+        (out / "summary.json").write_text('{"config": ')
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed run directory") and "JSONDecodeError" in err
+
+    def test_analyze_non_numeric_series_cell_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
+        path = out / "timeseries.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "oops" + lines[2][lines[2].index(","):]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed run directory") and "timeseries.csv" in err
+        assert "'oops'" in err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

@@ -272,6 +272,10 @@ class TestSteadyResidual:
         st = init_state("zero", {}, w16)
         assert steady_residual(st, w16) == (0.0, 0.0)
 
+    def test_zero_run_stays_steady(self, w16):
+        traj = run(init_state("zero", {}, w16), w16, dt=1e-3, t_final=0.02, snapshot_interval=0.01)
+        assert steady_residual(traj.final, w16) == (0.0, 0.0)
+
     def test_constant_phi2(self, w16):
         st = init_state("zero", {}, w16)
         st = FlowState(st.phi1, np.full(w16.grid.shape, 0.7), st.t, st.dphi1_dt, st.dphi2_dt)
@@ -422,7 +426,7 @@ class TestMarch:
         cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "acceptance.cfg")), n=8)
         expected = []
         for n, dt in ((8, 2e-4), (16, 1e-4)):
-            w = build_problem(dataclasses.replace(cfg, n=n))[3]
+            w = build_problem(dataclasses.replace(cfg, n=n))
             acc = BochnerAccumulator(w, pin_mask(w.rho))
             st0 = init_state(cfg.family, cfg.family_params, w)
             march(st0, w, dt=dt, t_final=0.04, step_callback=acc)

@@ -87,8 +87,8 @@ class TestDistanceToCurve:
         g = TorusGrid(16, 1.0)
         gamma = CurveGamma.axis_line(0.5, 0.5)
         d = distance_to_curve(g, gamma)
-        assert d.rho_min_clamp == 0.5 * g.spacing
-        assert np.all(d.rho >= d.rho_min_clamp)
+        assert np.array_equal(d.rho, np.maximum(d.rho_unclamped, 0.5 * g.spacing))
+        assert np.all(d.rho >= 0.5 * g.spacing)
 
     def test_transverse_offset_exact(self):
         g = TorusGrid(16, 1.0)
