@@ -180,7 +180,7 @@ class BochnerAccumulator:
     centered time difference; usable as a flow step callback, so runs never
     hold the dense theta history. Nodes whose stencil reaches the pinned ring
     are excluded. The centered difference and Laplacian are taken slab by slab
-    in the weight's `slab_workspace`.
+    on the lanes of the weight's `slab_workspace`.
     """
 
     def __init__(self, w: WeightField, pins: np.ndarray):
@@ -196,16 +196,19 @@ class BochnerAccumulator:
             self.window.pop(0)
         if len(self.window) == 3:
             (t0, th0), (_, th1), (t2, th2) = self.window
-            ws = self.w.slab_workspace
-            for sl in ws.slabs:
+            s = self.w.grid.spacing
+
+            def slab_worst(sl, lane):
                 p = sl.stop - sl.start
-                lap, expr = ws.scratch[1, :p], ws.scratch[2, :p]
-                slab_stencil(th1, sl, self.w, lap)
+                lap, expr = lane.scratch[1, :p], lane.scratch[2, :p]
+                slab_stencil(th1, sl, lane, s, lap)
                 np.subtract(th2[sl], th0[sl], out=expr)
                 expr /= t2 - t0
                 expr -= lap
-                worst = float(np.max(expr, where=self.mask[sl], initial=-np.inf))
-                self.worst = max(self.worst, worst)
+                return float(np.max(expr, where=self.mask[sl], initial=-np.inf))
+
+            # the slab maxima in slab order, as one lane would take them
+            self.worst = max(self.worst, *self.w.slab_workspace.map_slabs(slab_worst))
 
 
 def _log_positive(series: np.ndarray) -> np.ndarray:

@@ -79,7 +79,15 @@ class RunConfig:
         errors = [f"unknown key {k!r}" for k in sorted(d.keys() - names)]
         errors += [f"missing key {k!r}" for k in sorted(names - d.keys())]
         if not errors:
-            cfg = cls(**{**d, "circle_center": tuple(d["circle_center"])})
+            kinds = dict(_SCHEMA.values())
+            values = {}
+            for key, value in d.items():
+                try:
+                    values[key] = _check_kind(value, kinds[key])
+                except ValueError as exc:
+                    errors.append(f"{key} = {value!r}: {exc}")
+        if not errors:
+            cfg = cls(**values)
             _validate(cfg, errors)
         if errors:
             raise ConfigError([f"{source}: {e}" for e in errors])
@@ -128,7 +136,7 @@ _SECTIONS = ("grid", "curve", "weight", "flow", "analysis", "galerkin")
 MAX_STEPS = 10**7  # most steps a run may take: 400 times the battery's longest run
 
 
-def _finite(raw: str) -> float:
+def _finite(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{value} is not a finite number")
@@ -146,6 +154,25 @@ def _convert(raw: str, kind: str):
             raise ValueError("expected three comma-separated components")
         return tuple(parts)
     return raw
+
+
+def _check_kind(value, kind: str):
+    """A value read back from JSON, as `_convert` of its kind would have given it."""
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError("expected an integer")
+        return value
+    if kind == "float":
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError("expected a number")
+        return _finite(value)
+    if kind == "vec3":
+        if not isinstance(value, list) or len(value) != 3:
+            raise ValueError("expected a list of three numbers")
+        return tuple(_check_kind(v, "float") for v in value)
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
 
 
 def whole_steps(t_final: float, dt: float) -> int | None:

@@ -22,7 +22,10 @@ with the stencil eigenvalues.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +57,17 @@ def implicit_euler_factor(grid: TorusGrid, dt: float) -> np.ndarray:
     return 1.0 / (1.0 + dt * stencil_symbol(rfft_wavevectors(grid), grid))
 
 
-def heat_solve(f: np.ndarray, factor: np.ndarray, shape) -> np.ndarray:
-    return np.fft.irfftn(np.fft.rfftn(f, axes=(0, 1, 2)) * factor, s=shape, axes=(0, 1, 2))
+def heat_solve(f: np.ndarray, factor: np.ndarray, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The backward-Euler heat solve of f into out (which may be f), transforming in place in spec.
+
+    These are the 1-D transforms of irfftn(rfftn(f) * factor), in the same
+    order, so the result is bitwise equal to it; spec holds the rfftn layout.
+    """
+    np.fft.rfftn(f, axes=(0, 1, 2), out=spec)
+    spec *= factor
+    np.fft.ifft(spec, axis=0, out=spec)
+    np.fft.ifft(spec, axis=1, out=spec)
+    return np.fft.irfft(spec, n=out.shape[2], axis=2, out=out)
 
 
 @dataclass(frozen=True)
@@ -155,38 +167,104 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
 # scratch fields then stay in cache while the kernels read and write them.
 SLAB_NODES = 32768
 
+# Threads that step a grid of more than one slab: the calling thread and, with
+# two, one worker. Read once from the CPUs this process may use. Grids of one
+# slab stay on the calling thread, where a second thread cost more than it saved.
+LANES = min(
+    2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+class Lane:
+    """One thread's scratch of the fused kernels.
+
+    `pad` holds one slab wrap-padded by a node on every side, `grads` two
+    slab-sized vector fields, `scratch` three slab-sized scalar fields (the
+    first is used by `slab_stencil`), and `spec` the rfftn spectrum of one
+    grid field for `heat_solve`.
+    """
+
+    def __init__(self, planes: int, shape):
+        n0, n1, n2 = shape
+        self.pad = np.empty((planes + 2, n1 + 2, n2 + 2))
+        self.grads = np.empty((2, 3, planes, n1, n2))
+        self.scratch = np.empty((3, planes, n1, n2))
+        self.spec = np.empty((n0, n1, n2 // 2 + 1), dtype=complex)
+
 
 class SlabWorkspace:
-    """Scratch of the fused stencil kernels; reach it through `WeightField.slab_workspace`.
+    """Slabs and lanes of the fused stencil kernels; reach it through `WeightField.slab_workspace`.
 
-    `slabs` lists the axis-0 plane ranges the kernels walk. `pad` holds one
-    slab wrap-padded by a node on every side, `grads` two slab-sized vector
-    fields, `scratch` three slab-sized scalar fields (the first is used by
-    `slab_stencil`), and `update` one grid-sized field for `step`.
+    `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
+    `Lane` per thread that runs them: `LANES` on a grid of more than one slab,
+    else one. Work on the second lane runs on a one-thread pool made on first
+    use. Each lane writes only to its own scratch and to buffers the caller
+    owns, so the outputs are the same for any number of lanes.
     """
 
     def __init__(self, shape):
         n0, n1, n2 = shape
         planes = min(n0, max(1, SLAB_NODES // (n1 * n2)))
         self.slabs = [slice(i, min(i + planes, n0)) for i in range(0, n0, planes)]
-        self.pad = np.empty((planes + 2, n1 + 2, n2 + 2))
-        self.grads = np.empty((2, 3, planes, n1, n2))
-        self.scratch = np.empty((3, planes, n1, n2))
-        self.update = np.empty(shape)
+        self.lanes = [Lane(planes, shape) for _ in range(LANES if len(self.slabs) > 1 else 1)]
+        self._pool = None
+
+    def run_pair(self, first, second):
+        """(first(lanes[0]), second(lanes[-1])), with second on the worker lane when there are two.
+
+        If the worker has not started second by the time first returns, this
+        thread runs it, so a busy worker never holds the result back. Both
+        have ended when this returns or raises. The pool's thread ends when
+        the workspace is dropped.
+        """
+        lane = self.lanes[-1]
+        if len(self.lanes) == 1:
+            return first(lane), second(lane)
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
+        # in a copy of this thread's context, so numpy's errstate holds on the worker too
+        future = self._pool.submit(contextvars.copy_context().run, second, lane)
+        try:
+            result = first(self.lanes[0])
+        except BaseException:
+            if not future.cancel():
+                future.exception()  # waits: the worker may still write to the caller's buffers
+            raise
+        if future.cancel():
+            return result, second(lane)
+        return result, future.result()
+
+    def map_slabs(self, work) -> list:
+        """[work(slab, lane) for slab in slabs], each slab handed out to whichever lane is free."""
+        results = [None] * len(self.slabs)
+        todo = enumerate(self.slabs)
+        lock = threading.Lock()
+
+        def drain(lane):
+            while True:
+                with lock:
+                    i, sl = next(todo, (None, None))
+                if sl is None:
+                    return
+                results[i] = work(sl, lane)
+
+        self.run_pair(drain, drain)
+        return results
 
 
-def slab_stencil(f: np.ndarray, planes: slice, w: WeightField, lap: np.ndarray, grad=None):
+def slab_stencil(f: np.ndarray, planes: slice, lane: Lane, s: float, lap: np.ndarray, grad=None):
     """7-point Laplacian of f on the axis-0 `planes` into lap, and the centered gradient into grad.
 
-    The neighbours are read from the workspace's wrap-padded copy of the slab
-    (edges and corners of the pad are never read). The float operations and
-    their order are those of operators.laplacian and operators.gradient, so
-    the results are bitwise equal to theirs.
+    s is the grid spacing. The neighbours are read from the lane's
+    wrap-padded copy of the slab (edges and corners of the pad are never
+    read). The float operations and their order are those of
+    operators.laplacian and operators.gradient, so the results are bitwise
+    equal to theirs.
     """
-    ws = w.slab_workspace
-    s = w.grid.spacing
     p = planes.stop - planes.start
-    pad, pair = ws.pad[: p + 2], ws.scratch[0, :p]
+    pad, pair = lane.pad[: p + 2], lane.scratch[0, :p]
     c = slice(1, -1)
     fs = f[planes]
     pad[c, c, c] = fs
@@ -218,18 +296,21 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Non
 def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
     """The state at (phi1, phi2, t) with its right-hand sides and stencil fields.
 
-    One fused pass over the workspace's slabs; each slab's gradients live
-    only in scratch. The float operations and their order are those of
-    operators.flow_rhs, so every output is bitwise equal to the reference.
+    One fused pass over the workspace's slabs, shared out among its lanes;
+    each slab's gradients live only in its lane's scratch. The float
+    operations and their order are those of operators.flow_rhs, so every
+    output is bitwise equal to the reference.
     """
     ws = w.slab_workspace
+    s = w.grid.spacing
     lap1, lap2, wtil, r1, r2, sq1, sq2 = (np.empty(phi1.shape) for _ in range(7))
-    for sl in ws.slabs:
+
+    def slab(sl, lane):
         p = sl.stop - sl.start
-        g1, v = ws.grads[0, :, :p], ws.grads[1, :, :p]
-        drift, tmp = ws.scratch[1, :p], ws.scratch[2, :p]
-        slab_stencil(phi1, sl, w, lap1[sl], g1)
-        slab_stencil(phi2, sl, w, lap2[sl], v)
+        g1, v = lane.grads[0, :, :p], lane.grads[1, :, :p]
+        drift, tmp = lane.scratch[1, :p], lane.scratch[2, :p]
+        slab_stencil(phi1, sl, lane, s, lap1[sl], g1)
+        slab_stencil(phi2, sl, lane, s, lap2[sl], v)
         _dot3(g1, g1, sq1[sl], tmp)
         _dot3(v, v, sq2[sl], tmp)
         v += w.alpha_grad_log_h[:, sl]  # the phi1 drift velocity
@@ -239,6 +320,8 @@ def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> Step
         r1[sl][pins[sl]] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
         w.metric_weight(phi2[sl], out=wtil[sl], planes=sl)
         np.add(lap2[sl], np.multiply(wtil[sl], sq1[sl], out=tmp), out=r2[sl])
+
+    ws.map_slabs(slab)
     return StepState(phi1, phi2, t, r1, r2, lap1, lap2, wtil, sq1, sq2)
 
 
@@ -259,14 +342,20 @@ def cfl_dt(state: FlowState, w: WeightField, cfl_factor: float) -> float:
     return cfl_factor * s * min_rho / (2.0 * w.alpha + max_g2 * min_rho)
 
 
-def _explicit_update(phi, dphi_dt, lap, dt: float, w: WeightField) -> np.ndarray:
-    """phi + dt * (dphi_dt - lap), slab by slab into the workspace's update field."""
-    ws = w.slab_workspace
-    for sl in ws.slabs:
-        u = np.subtract(dphi_dt[sl], lap[sl], out=ws.update[sl])
+def _advance_field(phi, old, dphi_dt, lap, dt, factor, pins, slabs, lane) -> bool:
+    """phi = heat_solve(old + dt * (dphi_dt - lap)), zero on the pins if given; whether it is finite.
+
+    The explicit update is written slab by slab into phi, which the heat
+    solve then overwrites with its result.
+    """
+    for sl in slabs:
+        u = np.subtract(dphi_dt[sl], lap[sl], out=phi[sl])
         u *= dt
-        u += phi[sl]
-    return ws.update
+        u += old[sl]
+    heat_solve(phi, factor, lane.spec, phi)
+    if pins is not None:
+        phi[pins] = 0.0
+    return bool(np.all(np.isfinite(phi)))
 
 
 def step(
@@ -277,7 +366,11 @@ def step(
     euler_factor: np.ndarray | None = None,
     step_index: int = 0,
 ) -> StepState:
-    """One IMEX step: explicit drift/source, implicit diffusion, re-pin."""
+    """One IMEX step: explicit drift/source, implicit diffusion, re-pin.
+
+    The two fields are updated independently, each on a lane of the weight's
+    slab workspace.
+    """
     grid = w.grid
     if euler_factor is None:
         euler_factor = implicit_euler_factor(grid, dt)
@@ -291,13 +384,18 @@ def step(
     # dphi1/dt - lap1 = -drift (zero drift reported on pins), dphi2/dt - lap2 =
     # nonlinear source. Separate real transforms: packing both fields into one
     # complex FFT would leak ~1e-16 * |phi2| into phi1 and bury its clean decay
-    update1 = _explicit_update(state.phi1, state.dphi1_dt, lap1, dt, w)
-    phi1 = heat_solve(update1, euler_factor, grid.shape)
-    update2 = _explicit_update(state.phi2, state.dphi2_dt, lap2, dt, w)  # reuses update1's field
-    phi2 = heat_solve(update2, euler_factor, grid.shape)
-    phi1[pins] = 0.0
+    ws = w.slab_workspace
+    phi1, phi2 = np.empty(grid.shape), np.empty(grid.shape)
+    finite1, finite2 = ws.run_pair(
+        lambda lane: _advance_field(
+            phi1, state.phi1, state.dphi1_dt, lap1, dt, euler_factor, pins, ws.slabs, lane
+        ),
+        lambda lane: _advance_field(
+            phi2, state.phi2, state.dphi2_dt, lap2, dt, euler_factor, None, ws.slabs, lane
+        ),
+    )
 
-    if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
+    if not (finite1 and finite2):
         v = gradient(state.phi2, s) + w.alpha_grad_log_h
         raise FlowBlowupError(
             step_index,

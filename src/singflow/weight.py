@@ -58,9 +58,14 @@ class WeightField:
 
     @cached_property
     def slab_workspace(self):
-        """Scratch reused by the stepper's fused stencil kernels (`flow.SlabWorkspace`)."""
+        """Scratch reused by the stepper's fused stencil kernels (`flow.SlabWorkspace`).
+
+        The cached fields those kernels read are built here too, on the
+        calling thread, so the workspace's lanes only ever read them.
+        """
         from singflow.flow import SlabWorkspace
 
+        self._h_minus_2a, self.alpha_grad_log_h  # builds both cached fields
         return SlabWorkspace(self.grid.shape)
 
     def metric_weight(

@@ -153,6 +153,11 @@ def grad_symbol(k, grid: TorusGrid) -> float:
     return sum(np.sin(2 * np.pi * ki * s / L) ** 2 for ki in k) / s**2
 
 
+def heat_solve_reference(f: np.ndarray, factor: np.ndarray, shape) -> np.ndarray:
+    """The backward-Euler heat solve as one rfftn/irfftn pair, the reference of flow.heat_solve."""
+    return np.fft.irfftn(np.fft.rfftn(f, axes=(0, 1, 2)) * factor, s=shape, axes=(0, 1, 2))
+
+
 def heat_propagator_factors(grid: TorusGrid, dt: float):
     """Crank-Nicolson half-step factors (1/(1 + dt/2 L), 1 - dt/2 L), rfftn layout."""
     sym = stencil_symbol(rfft_wavevectors(grid), grid)

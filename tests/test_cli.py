@@ -369,8 +369,17 @@ class TestMainEntry:
             (lambda c: c.update(scheme="imex"), "summary.json config: unknown key 'scheme'"),
             (lambda c: c.pop("seed"), "summary.json config: missing key 'seed'"),
             (lambda c: c.update(alpha=0.5), "alpha must exceed 1"),
+            (lambda c: c.update(curve_a="x"), "config: curve_a = 'x': expected a number"),
+            (lambda c: c.update(n=32.5), "config: n = 32.5: expected an integer"),
+            (lambda c: c.update(n=True), "config: n = True: expected an integer"),
+            (lambda c: c.update(dt=float("nan")), "dt = nan: nan is not a finite number"),
+            (lambda c: c.update(circle_center=[0.5, 0.5]), "expected a list of three numbers"),
+            (lambda c: c.update(family=0), "config: family = 0: expected a string"),
         ],
-        ids=["unknown_key", "missing_key", "alpha_below_one"],
+        ids=[
+            "unknown_key", "missing_key", "alpha_below_one", "str_for_float", "float_for_int",
+            "bool_for_int", "nan_float", "short_vec3", "int_for_str",
+        ],
     )
     def test_analyze_bad_config_echo_exit_2(self, tmp_path, capsys, edit, message):
         # the echoed config is held to the parser's rules

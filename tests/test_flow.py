@@ -1,9 +1,13 @@
 import dataclasses
 import os
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
-from oracles import energy_H
+from oracles import energy_H, heat_solve_reference
 
 from singflow import flow
 from singflow.flow import (
@@ -354,10 +358,25 @@ class TestBitwiseAgainstOperators:
             assert np.array_equal(getattr(st, "lap" + key), laplacian(f, s))
             # the Laplacian alone, as BochnerAccumulator takes it slab by slab
             lap = np.empty(f.shape)
+            lane = weight_n.slab_workspace.lanes[0]
             for sl in weight_n.slab_workspace.slabs:
-                slab_stencil(f, sl, weight_n, lap[sl])
+                slab_stencil(f, sl, lane, s, lap[sl])
             assert np.array_equal(lap, laplacian(f, s))
         assert np.array_equal(st.wtil, weight_n.metric_weight(phi2))
+
+    @pytest.mark.parametrize("n", [8, 15, 16, 32, 48, 64])
+    def test_heat_solve_matches_reference(self, n):
+        # the odd n checks the length the last inverse transform is given
+        grid = TorusGrid(n, 1.0)
+        f = np.random.default_rng(n).standard_normal(grid.shape)
+        factor = implicit_euler_factor(grid, 1e-3)
+        expected = heat_solve_reference(f, factor, grid.shape)
+        spec = np.empty(factor.shape, dtype=complex)
+        out = np.empty(grid.shape)
+        assert heat_solve(f, factor, spec, out) is out
+        assert np.array_equal(out, expected)
+        assert heat_solve(f, factor, spec, f) is f  # in place, as step calls it
+        assert np.array_equal(f, expected)
 
     def test_run_matches_reference_loop(self, w16):
         dt, steps = 2e-4, 50
@@ -382,8 +401,8 @@ class TestBitwiseAgainstOperators:
         for _ in range(steps):
             e1 = r1 - laplacian(phi1, s)
             e2 = r2 - laplacian(phi2, s)
-            phi1 = heat_solve(phi1 + dt * e1, factor, grid.shape)
-            phi2 = heat_solve(phi2 + dt * e2, factor, grid.shape)
+            phi1 = heat_solve_reference(phi1 + dt * e1, factor, grid.shape)
+            phi2 = heat_solve_reference(phi2 + dt * e2, factor, grid.shape)
             phi1[pins] = 0.0
             t += dt
             r1, r2 = flow_rhs(phi1, phi2, w16)
@@ -433,3 +452,143 @@ class TestMarch:
             expected.append(acc.worst)
         got = [v["measured"] for v in check_bochner(cfg)[:2]]
         assert got == expected
+
+
+def _weight(n):
+    grid = TorusGrid(n, 1.0)
+    return build_weight(distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5)), alpha=1.5)
+
+
+class TestLanes:
+    """Outputs are byte-identical for any lane count.
+
+    A workspace reads LANES and SLAB_NODES when it is built, so each case
+    builds a fresh weight (dataclasses.replace starts with an empty cache).
+    """
+
+    def test_lane_count_follows_slab_count(self, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        assert len(flow.SlabWorkspace((64, 64, 64)).lanes) == 2
+        assert len(flow.SlabWorkspace((32, 32, 32)).lanes) == 1
+        monkeypatch.setattr(flow, "LANES", 1)
+        assert len(flow.SlabWorkspace((64, 64, 64)).lanes) == 1
+
+    def test_map_slabs_hands_each_slab_out_once(self, monkeypatch):
+        # a tiny switch interval makes the lanes interleave inside the hand-out
+        monkeypatch.setattr(flow, "LANES", 2)
+        monkeypatch.setattr(flow, "SLAB_NODES", 16)
+        ws = flow.SlabWorkspace((64, 4, 4))  # 64 one-plane slabs
+        lanes_used = set()
+
+        def work(sl, lane):
+            seen.append(sl.start)
+            lanes_used.add(id(lane))
+            time.sleep(1e-4)  # lets the other lane in
+            return sl.start
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                seen = []
+                assert ws.map_slabs(work) == list(range(64))
+                assert sorted(seen) == list(range(64))
+        finally:
+            sys.setswitchinterval(interval)
+        assert lanes_used == {id(lane) for lane in ws.lanes}
+
+    def test_run_at_n64_writes_identical_files(self, tmp_path, monkeypatch):
+        from singflow.cli import cmd_run
+        from singflow.config import parse_config_text
+
+        cfg = parse_config_text(
+            "[grid]\nn = 64\n"
+            "[flow]\nfamily = poly_cutoff+trig\nc = 0.01\na = 0.001\nb = 0.0015\n"
+            "t_final = 6e-4\ndt = 1e-4\nsnapshot_interval = 2e-4\n"
+            "[analysis]\nholder_pairs = 2000\n"
+        )
+        outputs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            out = tmp_path / f"lanes{lanes}"
+            assert cmd_run(cfg, str(out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert sum(name.endswith(".sgf") for name in outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
+    def test_check_bochner_same_for_any_lane_count(self, monkeypatch):
+        from singflow.config import parse_config
+        from singflow.verify import check_bochner
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "acceptance.cfg")), n=8)
+        measured = []
+        # one-plane slabs give both grids of the pair (n = 8 and 16) many slabs to share out
+        for lanes, slab_nodes in ((1, flow.SLAB_NODES), (1, 64), (2, 64)):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            monkeypatch.setattr(flow, "SLAB_NODES", slab_nodes)
+            measured.append([v["measured"] for v in check_bochner(cfg)])
+        assert measured[0] == measured[1] == measured[2]
+
+    def test_step_completes_while_the_worker_lane_is_blocked(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        monkeypatch.setattr(flow, "SLAB_NODES", 256)  # one-plane slabs at n = 16
+        w = dataclasses.replace(w16)
+        pins = pin_mask(w.rho)
+        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        expected = step(st, w, 1e-4, pins)  # also starts the worker lane's pool
+        assert len(w.slab_workspace.lanes) == 2
+
+        release = threading.Event()
+        blocker = w.slab_workspace._pool.submit(release.wait, 20)
+        solved_on = []
+        heat_solve_ = flow.heat_solve
+
+        def spy(*args):
+            solved_on.append(threading.current_thread())
+            return heat_solve_(*args)
+
+        monkeypatch.setattr(flow, "heat_solve", spy)
+        try:
+            got = step(st, w, 1e-4, pins)
+            assert not blocker.done()  # the step did not wait for the worker
+        finally:
+            release.set()
+        assert blocker.result(timeout=20) is True
+        assert solved_on == [threading.current_thread()] * 2
+        for field in dataclasses.fields(StepState):
+            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), field.name
+        assert got.t == expected.t
+
+    def test_worker_thread_ends_with_its_weight(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        monkeypatch.setattr(flow, "SLAB_NODES", 256)
+        before = set(threading.enumerate())
+        w = dataclasses.replace(w16)
+        init_state("trig", {"a": 0.1, "b": 0.1}, w)  # derive_state starts the worker lane
+        (worker,) = set(threading.enumerate()) - before
+        assert worker.name.startswith("singflow-lane")
+        del w
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_blowup_at_n64_is_raised_on_the_calling_thread(self, monkeypatch):
+        w64 = _weight(64)
+        st = init_state("trig", {"a": 0.3, "b": 0.2}, w64)
+        st = FlowState(st.phi1, st.phi2 * 1e308, 0.25, st.dphi1_dt, st.dphi2_dt)
+        pins = pin_mask(w64.rho)
+        errors = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            w = dataclasses.replace(w64)
+            with pytest.raises(FlowBlowupError) as err, warnings.catch_warnings():
+                # the worker lane runs under the caller's errstate, so it warns no more than one lane
+                warnings.simplefilter("error")
+                with np.errstate(all="ignore"):
+                    step(st, w, 1e-3, pins, step_index=7)
+            assert len(w.slab_workspace.lanes) == lanes
+            assert err.traceback[-1].name == "step"
+            errors.append(err.value)
+        payload = [(e.step, e.t, e.max_phi1, e.max_phi2, e.max_drift, str(e)) for e in errors]
+        assert payload[0] == payload[1]
+        assert payload[0][:2] == (7, 0.25)
