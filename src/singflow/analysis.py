@@ -178,14 +178,14 @@ class BochnerAccumulator:
     The continuum quantity is nonpositive, so the positive part measures the
     discretization error. Keeps a rolling window of three theta fields for the
     centered time difference; usable as a flow step callback, so runs never
-    hold the dense theta history. Nodes whose stencil reaches the pinned ring
-    are excluded. The centered difference and Laplacian are taken slab by slab
-    on the lanes of the weight's `slab_workspace`.
+    hold the dense theta history. Nodes inside the exclusion ring or whose
+    stencil reaches the pinned ring are excluded. The centered difference and
+    Laplacian are taken slab by slab on the lanes of the weight's `slab_workspace`.
     """
 
-    def __init__(self, w: WeightField, pins: np.ndarray):
+    def __init__(self, w: WeightField):
         self.w = w
-        self.mask = stencil_clear(pins) & (w.rho.rho_unclamped > 2.0 * w.grid.spacing)
+        self.mask = stencil_clear(w.rho.pinned) & w.rho.outside_ring
         self.window: list[tuple[float, np.ndarray]] = []
         self.worst = -math.inf
 
@@ -208,7 +208,13 @@ class BochnerAccumulator:
                 return float(np.max(expr, where=self.mask[sl], initial=-np.inf))
 
             # the slab maxima in slab order, as one lane would take them
-            self.worst = max(self.worst, *self.w.slab_workspace.map_slabs(slab_worst))
+            ws = self.w.slab_workspace
+            self.worst = max(self.worst, *ws.map(slab_worst, ws.slabs))
+
+
+def theta_reference_rate(grid) -> float:
+    """2 lambda_1, the decay rate of int theta^2 set by the first nonzero stencil eigenvalue."""
+    return 2.0 * stencil_symbol((1, 0, 0), grid)
 
 
 def _log_positive(series: np.ndarray) -> np.ndarray:
@@ -234,7 +240,7 @@ def theta_decay_check(
     """
     times = traj.column("t")
     log_t2 = traj.column("log_theta2")
-    c0 = 2.0 * stencil_symbol((1, 0, 0), w.grid)
+    c0 = theta_reference_rate(w.grid)
     log_sup = _log_positive(traj.column("weighted_dt_sup"))
     fits = [
         fit_decay_rate_log(times, log_t2, window, "theta_l2_integral", c0, rate_slack, r2_min),
@@ -360,7 +366,7 @@ def convergence_report(
             raise ValueError("final time too early: int theta^2 has not decayed by 1e3")
 
     times = np.asarray(traj.snapshot_times)
-    reference = 2.0 * stencil_symbol((1, 0, 0), w.grid) / 4.0
+    reference = theta_reference_rate(w.grid) / 4.0
     log_series = _log_positive(cstar2_to_final(traj, w))
     fit = fit_decay_rate_log(times, log_series, window, "cstar2_to_final", reference, rate_slack, r2_min)
     return {"fit": fit, "steady_residual": steady_residual(traj.final, w)}

@@ -16,11 +16,12 @@ import sys
 
 import numpy as np
 
-from singflow.analysis import check_max_principle, cstar2_to_final, exponent_fit, fit_decay_rate_log
+from singflow.analysis import (
+    check_max_principle, cstar2_to_final, exponent_fit, fit_decay_rate_log, theta_reference_rate
+)
 from singflow.config import ConfigError, RunConfig, build_problem, parse_config, whole_steps
 from singflow.flow import SERIES_COLUMNS, FlowState, Trajectory, cfl_dt, init_state, initial_fields, run
 from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
-from singflow.operators import stencil_symbol
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
 from singflow.spectral import (
     GalerkinStates,
@@ -33,6 +34,7 @@ from singflow.spectral import (
 from singflow.weight import harmonicity_residual, log_asymptotics_shell
 
 AUX_COLUMNS = ("t", "log_theta2", "weighted_dt_sup")
+SNAPSHOT_FIELDS = ("phi1", "phi2", "dphi1_dt", "dphi2_dt")
 
 
 def _fmt(x: float) -> str:
@@ -69,12 +71,7 @@ def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> None:
             length=cfg.length,
             alpha=cfg.alpha,
             t=t,
-            fields={
-                "phi1": state.phi1,
-                "phi2": state.phi2,
-                "dphi1_dt": state.dphi1_dt,
-                "dphi2_dt": state.dphi2_dt,
-            },
+            fields={name: getattr(state, name) for name in SNAPSHOT_FIELDS},
         )
         write_snapshot(os.path.join(out_dir, f"snap_{idx:05d}.sgf"), snap)
 
@@ -188,27 +185,28 @@ def cmd_analyze(run_dir: str) -> int:
         print(f"error: malformed run directory {run_dir!r}: {exc!r}", file=sys.stderr)
         return 2
     cfg = RunConfig.from_dict(echo, source=f"{summary_path} config")
-    w = build_problem(cfg)
 
     snap_paths = sorted(
         os.path.join(run_dir, f) for f in os.listdir(run_dir) if f.endswith(".sgf")
     )
     snaps = [read_snapshot(p) for p in snap_paths]
-    states = [
-        FlowState(
-            phi1=s.fields["phi1"],
-            phi2=s.fields["phi2"],
-            t=s.t,
-            dphi1_dt=s.fields["dphi1_dt"],
-            dphi2_dt=s.fields["dphi2_dt"],
-        )
-        for s in snaps
-    ]
+    expected = ((cfg.n,) * 3, cfg.length, cfg.alpha, sorted(SNAPSHOT_FIELDS))
+    problem = None if snaps else "no .sgf snapshot"
+    for path, snap in zip(snap_paths, snaps):
+        got = (snap.n, snap.length, snap.alpha, sorted(snap.fields))
+        if got != expected:
+            problem = f"{os.path.basename(path)} has (n, length, alpha, fields) {got}, not {expected}"
+            break
+    if problem:
+        print(f"error: malformed run directory {run_dir!r}: {problem}", file=sys.stderr)
+        return 2
+    w = build_problem(cfg)
+    states = [FlowState(t=s.t, **s.fields) for s in snaps]
     traj = Trajectory(series={k: list(v) for k, v in series.items()}, snapshots=states)
 
     reports: dict = {"decay": [], "bounds": [], "norms": []}
     window = (cfg.fit_window_start, min(cfg.fit_window_end, traj.final.t))
-    reference = 2.0 * stencil_symbol((1, 0, 0), w.grid)
+    reference = theta_reference_rate(w.grid)
     try:
         fit = fit_decay_rate_log(
             series["t"], series["log_theta2"], window, "theta_l2_integral",

@@ -89,9 +89,11 @@ class FlowState:
 class StepState(FlowState):
     """A FlowState plus the stencil fields its time derivatives were built from.
 
-    Only `derive_state` builds one, so the derived fields always belong to
-    phi1 and phi2. To change a field, build a new state rather than using
-    dataclasses.replace, which would carry the old derived fields along.
+    Only `derive_state` builds one, so the derived fields belong to phi1 and
+    phi2, with one exception: `run(conserve_phi2_mean=True)` shifts phi2 in
+    place by a constant after it is derived. To change a field, build a new
+    state rather than using dataclasses.replace, which would carry the old
+    derived fields along.
     """
 
     lap1: np.ndarray
@@ -105,11 +107,6 @@ def smooth_cutoff(rho: np.ndarray, L: float) -> np.ndarray:
     """C^2 cutoff: 1 for rho <= L/4, 0 for rho >= 3L/8, smoothstep between."""
     t = np.clip((3 * L / 8 - rho) / (L / 8), 0.0, 1.0)
     return t**3 * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def pin_mask(rho: DistanceField) -> np.ndarray:
-    """Nodes representing the curve: the ring within one spacing where phi1 is held at zero."""
-    return rho.rho_unclamped <= rho.grid.spacing
 
 
 def initial_fields(family: str, params: dict, w: WeightField):
@@ -197,9 +194,9 @@ class SlabWorkspace:
 
     `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
     `Lane` per thread that runs them: `LANES` on a grid of more than one slab,
-    else one. Work on the second lane runs on a one-thread pool made on first
-    use. Each lane writes only to its own scratch and to buffers the caller
-    owns, so the outputs are the same for any number of lanes.
+    else one. The second lane runs on a one-thread pool made on first use.
+    Each lane writes only to its own scratch and to buffers the caller owns,
+    so the outputs are the same for any number of lanes.
     """
 
     def __init__(self, shape):
@@ -209,48 +206,43 @@ class SlabWorkspace:
         self.lanes = [Lane(planes, shape) for _ in range(LANES if len(self.slabs) > 1 else 1)]
         self._pool = None
 
-    def run_pair(self, first, second):
-        """(first(lanes[0]), second(lanes[-1])), with second on the worker lane when there are two.
+    def map(self, work, items) -> list:
+        """[work(item, lane) for item in items], each item handed out to whichever lane is free.
 
-        If the worker has not started second by the time first returns, this
-        thread runs it, so a busy worker never holds the result back. Both
-        have ended when this returns or raises. The pool's thread ends when
-        the workspace is dropped.
+        This thread works through the items on the first lane while the worker
+        takes them on the second, so a busy worker never holds the result
+        back. Both lanes have stopped when this returns or raises. The pool's
+        thread ends when the workspace is dropped.
         """
-        lane = self.lanes[-1]
-        if len(self.lanes) == 1:
-            return first(lane), second(lane)
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
-        # in a copy of this thread's context, so numpy's errstate holds on the worker too
-        future = self._pool.submit(contextvars.copy_context().run, second, lane)
-        try:
-            result = first(self.lanes[0])
-        except BaseException:
-            if not future.cancel():
-                future.exception()  # waits: the worker may still write to the caller's buffers
-            raise
-        if future.cancel():
-            return result, second(lane)
-        return result, future.result()
-
-    def map_slabs(self, work) -> list:
-        """[work(slab, lane) for slab in slabs], each slab handed out to whichever lane is free."""
-        results = [None] * len(self.slabs)
-        todo = enumerate(self.slabs)
+        results = [None] * len(items)
+        todo = enumerate(items)
         lock = threading.Lock()
 
         def drain(lane):
             while True:
                 with lock:
-                    i, sl = next(todo, (None, None))
-                if sl is None:
+                    i, item = next(todo, (None, None))
+                if i is None:
                     return
-                results[i] = work(sl, lane)
+                results[i] = work(item, lane)
 
-        self.run_pair(drain, drain)
+        if len(self.lanes) == 1:
+            drain(self.lanes[0])
+            return results
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
+        # in a copy of this thread's context, so numpy's errstate holds on the worker too
+        future = self._pool.submit(contextvars.copy_context().run, drain, self.lanes[1])
+        try:
+            drain(self.lanes[0])
+        except BaseException:
+            if not future.cancel():
+                future.exception()  # waits: the worker may still write to the caller's buffers
+            raise
+        if not future.cancel():
+            future.result()  # waits, and raises what the worker raised
         return results
 
 
@@ -293,7 +285,7 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Non
         out += np.multiply(a[ax], b[ax], out=tmp)
 
 
-def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> StepState:
+def derive_state(phi1, phi2, t: float, w: WeightField) -> StepState:
     """The state at (phi1, phi2, t) with its right-hand sides and stencil fields.
 
     One fused pass over the workspace's slabs, shared out among its lanes;
@@ -317,32 +309,30 @@ def derive_state(phi1, phi2, t: float, w: WeightField, pins: np.ndarray) -> Step
         _dot3(v, g1, drift, tmp)
         drift *= 2.0
         np.subtract(lap1[sl], drift, out=r1[sl])
-        r1[sl][pins[sl]] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
+        r1[sl][w.rho.pinned[sl]] = 0.0  # pinned nodes do not move: dphi1/dt = 0 on the curve ring
         w.metric_weight(phi2[sl], out=wtil[sl], planes=sl)
         np.add(lap2[sl], np.multiply(wtil[sl], sq1[sl], out=tmp), out=r2[sl])
 
-    ws.map_slabs(slab)
+    ws.map(slab, ws.slabs)
     return StepState(phi1, phi2, t, r1, r2, lap1, lap2, wtil, sq1, sq2)
 
 
 def init_state(family: str, params: dict, w: WeightField) -> StepState:
     phi1, phi2 = initial_fields(family, params, w)
     phi1 = phi1.copy()
-    pins = pin_mask(w.rho)
-    phi1[pins] = 0.0
-    return derive_state(phi1, phi2, 0.0, w, pins)
+    phi1[w.rho.pinned] = 0.0
+    return derive_state(phi1, phi2, 0.0, w)
 
 
-def cfl_dt(state: FlowState, w: WeightField, cfl_factor: float) -> float:
+def cfl_dt(state: StepState, w: WeightField, cfl_factor: float) -> float:
     """dt <= c * spacing * min rho / (2 alpha + max |grad phi2| * min rho)."""
     s = w.grid.spacing
     min_rho = float(np.min(w.rho.rho))
-    g2 = gradient(state.phi2, s)
-    max_g2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=0))))
+    max_g2 = float(np.sqrt(np.max(state.grad2_sq)))
     return cfl_factor * s * min_rho / (2.0 * w.alpha + max_g2 * min_rho)
 
 
-def _advance_field(phi, old, dphi_dt, lap, dt, factor, pins, slabs, lane) -> bool:
+def _advance_field(phi, old, dphi_dt, lap, pins, dt, factor, slabs, lane) -> bool:
     """phi = heat_solve(old + dt * (dphi_dt - lap)), zero on the pins if given; whether it is finite.
 
     The explicit update is written slab by slab into phi, which the heat
@@ -362,7 +352,6 @@ def step(
     state: FlowState,
     w: WeightField,
     dt: float,
-    pins: np.ndarray,
     euler_factor: np.ndarray | None = None,
     step_index: int = 0,
 ) -> StepState:
@@ -386,13 +375,12 @@ def step(
     # complex FFT would leak ~1e-16 * |phi2| into phi1 and bury its clean decay
     ws = w.slab_workspace
     phi1, phi2 = np.empty(grid.shape), np.empty(grid.shape)
-    finite1, finite2 = ws.run_pair(
-        lambda lane: _advance_field(
-            phi1, state.phi1, state.dphi1_dt, lap1, dt, euler_factor, pins, ws.slabs, lane
-        ),
-        lambda lane: _advance_field(
-            phi2, state.phi2, state.dphi2_dt, lap2, dt, euler_factor, None, ws.slabs, lane
-        ),
+    finite1, finite2 = ws.map(
+        lambda job, lane: _advance_field(*job, dt, euler_factor, ws.slabs, lane),
+        [
+            (phi1, state.phi1, state.dphi1_dt, lap1, w.rho.pinned),
+            (phi2, state.phi2, state.dphi2_dt, lap2, None),
+        ],
     )
 
     if not (finite1 and finite2):
@@ -405,7 +393,7 @@ def step(
             float(np.max(np.sqrt(np.sum(v * v, axis=0)))),
         )
 
-    return derive_state(phi1, phi2, state.t + dt, w, pins)
+    return derive_state(phi1, phi2, state.t + dt, w)
 
 
 SERIES_COLUMNS = (
@@ -450,7 +438,7 @@ def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
     The pinned ring is excluded from the first residual; there the discrete
     solution satisfies the curve condition instead of the bulk equation.
     """
-    derived = derive_state(state.phi1, state.phi2, state.t, w, pin_mask(w.rho))
+    derived = derive_state(state.phi1, state.phi2, state.t, w)
     r1, r2 = derived.dphi1_dt, derived.dphi2_dt
     rho = w.rho.rho
     a = w.alpha
@@ -465,7 +453,6 @@ def _series_constants(state0: FlowState, w: WeightField) -> dict:
     rho = w.rho.rho
     a = w.alpha
     return {
-        "admissible": w.rho.rho_unclamped > 2.0 * w.grid.spacing,
         "alpha_log_h": a * w.log_h,
         "rho_15ma": rho ** (1.5 - a),
         "rho_15": rho**1.5,
@@ -490,7 +477,7 @@ def _series_row(state: StepState, w: WeightField, pre: dict):
     hyp = hyperbolic_distance(state.phi1, Phi2, pre["phi1_0"], pre["Phi2_0"])
 
     weighted_sup = float(
-        np.max((pre["rho_15ma"] * np.abs(r1) + pre["rho_15"] * np.abs(r2))[pre["admissible"]])
+        np.max((pre["rho_15ma"] * np.abs(r1) + pre["rho_15"] * np.abs(r2))[w.rho.outside_ring])
     )
     res1 = float(np.max(pre["rho_35ma"] * np.abs(r1)))
     res2 = float(np.max(pre["rho_35"] * np.abs(r2)))
@@ -516,13 +503,12 @@ def march(
     every step; streaming consumers (local-in-time diagnostics) hook in here
     without the memory cost of dense snapshots or the per-step series row.
     """
-    pins = pin_mask(w.rho)
     factor = implicit_euler_factor(w.grid, dt)
     state = state0
     if step_callback is not None:
         step_callback(state)
     for i in range(1, int(round(t_final / dt)) + 1):
-        state = step(state, w, dt, pins, euler_factor=factor, step_index=i)
+        state = step(state, w, dt, euler_factor=factor, step_index=i)
         if step_callback is not None:
             step_callback(state)
     return state
@@ -548,15 +534,13 @@ def run(
     pure-decay runs stay clean over hundreds of orders of magnitude. Only
     valid for phi1 = 0 and zero-mean phi2, where no source feeds the mean.
     """
-    pins = pin_mask(w.rho)
-
     if conserve_phi2_mean:
         if np.any(state0.phi1 != 0.0):
             raise ValueError("conserve_phi2_mean requires phi1 = 0")
         mean0 = float(state0.phi2.mean())
         if abs(mean0) > 1e-12 * max(1.0, float(np.max(np.abs(state0.phi2)))):
             raise ValueError("conserve_phi2_mean requires zero-mean initial phi2")
-        state0 = derive_state(state0.phi1, state0.phi2 - mean0, state0.t, w, pins)
+        state0 = derive_state(state0.phi1, state0.phi2 - mean0, state0.t, w)
 
     pre = _series_constants(state0, w)
     n_steps = int(round(t_final / dt))

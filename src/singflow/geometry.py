@@ -126,7 +126,9 @@ class DistanceField:
     smooth_mask is True where rho is a trustworthy smooth distance: it excludes
     the near-curve shell and the cut locus of the periodic distance, where rho
     has a ridge. grad_rho holds the analytic unit-speed gradient where
-    available (axis_line), else a centered-difference gradient.
+    available (axis_line), else a centered-difference gradient. `pinned`, the
+    ring rho <= spacing, is the grid's copy of Gamma, where phi1 is held at zero.
+    Sup-type norms and the Bochner max are taken only `outside_ring`, rho > 2*spacing.
     """
 
     grid: TorusGrid
@@ -135,6 +137,8 @@ class DistanceField:
     smooth_mask: np.ndarray
     ridge_mask: np.ndarray
     grad_rho: np.ndarray
+    pinned: np.ndarray
+    outside_ring: np.ndarray
 
 
 def stencil_clear(excluded: np.ndarray) -> np.ndarray:
@@ -228,4 +232,6 @@ def distance_to_curve(
         smooth_mask=smooth,
         ridge_mask=ridge,
         grad_rho=grad,
+        pinned=rho_raw <= grid.spacing,
+        outside_ring=rho_raw > 2.0 * grid.spacing,
     )

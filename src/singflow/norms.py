@@ -1,10 +1,11 @@
 """Weighted norms, energies, and pointwise diagnostics.
 
-Sup-type norms exclude nodes within an exclusion ring of radius 2*spacing
-about the curve, where the clamped distance would fabricate extrema; every
-report records the ring radius. Quadratures are cell-volume weighted;
-`np.sum` reductions are fixed-order, and BLAS ones (`operators.grid_inner`, in
-`w212_norm`) are fixed for a given BLAS thread count.
+Sup-type norms are taken only at the distance field's `outside_ring` nodes,
+leaving out the exclusion ring of radius 2*spacing about the curve, where the
+clamped distance would fabricate extrema; every report records the ring
+radius. Quadratures are cell-volume weighted; `np.sum` reductions are
+fixed-order, and BLAS ones (`operators.grid_inner`, in `w212_norm`) are fixed
+for a given BLAS thread count.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ def cstar2_norm(w1: np.ndarray, w2: np.ndarray, rho_field, alpha: float) -> Norm
     """Weighted second-order sup norm:
     sum_k max(|grad^k w1| rho^{k+3/2-a} + |grad^k w2| rho^{k+3/2})."""
     s = rho_field.grid.spacing
-    exclusion_radius = 2.0 * s
-    ok = rho_field.rho_unclamped > exclusion_radius
     rho = rho_field.rho
 
     total = 0.0
@@ -94,12 +93,12 @@ def cstar2_norm(w1: np.ndarray, w2: np.ndarray, rho_field, alpha: float) -> Norm
             a1 = hessian_frobenius(w1, s)
             a2 = hessian_frobenius(w2, s)
         weighted = a1 * rho ** (k + 1.5 - alpha) + a2 * rho ** (k + 1.5)
-        total += float(np.max(weighted[ok]))
+        total += float(np.max(weighted[rho_field.outside_ring]))
     return NormReport(
         name="cstar2",
         value=total,
         weight_exponents={"w1": "k+3/2-alpha", "w2": "k+3/2", "alpha": alpha},
-        exclusion={"ring_radius": exclusion_radius},
+        exclusion={"ring_radius": 2.0 * s},
     )
 
 
@@ -213,9 +212,7 @@ def sampled_holder_seminorm(
     over pairs is quadratic in the grid size and this seminorm is diagnostic.
     """
     grid = rho_field.grid
-    exclusion_radius = 2.0 * grid.spacing
-    ok = rho_field.rho_unclamped > exclusion_radius
-    flat_idx = np.flatnonzero(ok.ravel())
+    flat_idx = np.flatnonzero(rho_field.outside_ring.ravel())
     rng = np.random.default_rng(seed)
     n_t = len(snapshots)
     times = np.array([t for t, _ in snapshots])
@@ -245,5 +242,5 @@ def sampled_holder_seminorm(
         name="holder_seminorm_sampled",
         value=float(np.max(vals)) if vals.size else 0.0,
         weight_exponents={"gamma": gamma, "beta": beta},
-        exclusion={"ring_radius": exclusion_radius, "n_pairs": n_pairs, "seed": seed},
+        exclusion={"ring_radius": 2.0 * grid.spacing, "n_pairs": n_pairs, "seed": seed},
     )

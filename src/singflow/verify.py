@@ -33,7 +33,7 @@ from singflow.analysis import (
     theta_decay_check,
 )
 from singflow.config import RunConfig, build_problem
-from singflow.flow import init_state, initial_fields, march, pin_mask, run
+from singflow.flow import init_state, initial_fields, march, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
     GalerkinStates,
@@ -322,7 +322,7 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
     for label, n, dt in (("coarse", cfg.n, 2e-4), ("fine", 2 * cfg.n, 1e-4)):
         w = build_problem(dataclasses.replace(cfg, n=n))
         state0 = init_state(cfg.family, cfg.family_params, w)
-        acc = BochnerAccumulator(w, pin_mask(w.rho))
+        acc = BochnerAccumulator(w)
         march(state0, w, dt=dt, t_final=T, step_callback=acc)
         results[label] = {"violation": acc.worst, "bound": 10.0 * (dt + w.grid.spacing**2)}
     coarse, fine = results["coarse"], results["fine"]

@@ -188,7 +188,7 @@ def harmonicity_residual(w: WeightField, exclusion_radius: float) -> float:
 
 def log_asymptotics_shell(w: WeightField) -> tuple[float, float]:
     """(min, max) of log h / log rho over the near-Gamma shell rho <= 2*spacing."""
-    shell = w.rho.rho_unclamped <= 2.0 * w.grid.spacing
+    shell = ~w.rho.outside_ring
     if not np.any(shell):
         raise ValueError("no nodes in the near-Gamma shell")
     ratio = w.log_h[shell] / np.log(w.rho.rho[shell])

@@ -16,7 +16,7 @@ from singflow.analysis import (
     tension_bound,
     theta_decay_check,
 )
-from singflow.flow import derive_state, init_state, march, pin_mask, run
+from singflow.flow import derive_state, init_state, march, run
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import stencil_symbol
 from singflow.weight import build_weight
@@ -105,7 +105,7 @@ class TestFitDecayRate:
 class TestMaxPrinciple:
     def test_zero_tension_stationary_data(self, w16):
         st = init_state("zero", {}, w16)
-        st = derive_state(st.phi1, np.full(w16.grid.shape, 0.4), st.t, w16, pin_mask(w16.rho))
+        st = derive_state(st.phi1, np.full(w16.grid.shape, 0.4), st.t, w16)
         assert tension_bound(st, w16) < 1e-10
         traj = run(st, w16, dt=1e-3, t_final=0.01, snapshot_interval=0.005)
         reports = check_max_principle(traj, w16)
@@ -129,7 +129,7 @@ class TestMaxPrinciple:
 class TestBochner:
     def test_zero_trajectory(self, w16):
         st = init_state("zero", {}, w16)
-        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        acc = BochnerAccumulator(w16)
         march(st, w16, dt=1e-3, t_final=0.01, step_callback=acc)
         assert acc.worst <= 0.0
 
@@ -141,7 +141,7 @@ class TestBochner:
         st = init_state("trig", {"a": 0.02, "b": 0.0}, w16)
         # stopping at step 11 leaves the theta fields of steps 9, 10 and 11
         # (the middle of a 20-step run) in the accumulator's window
-        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        acc = BochnerAccumulator(w16)
         march(st, w16, dt=dt, t_final=11 * dt, step_callback=acc)
 
         from singflow.operators import gradient, laplacian
@@ -155,9 +155,8 @@ class TestBochner:
         st2 = init_state("trig", {"a": 0.02, "b": 0.0}, w16)
         from singflow.flow import step
 
-        pins = pin_mask(w16.rho)
         for k in range(idx):
-            st2 = step(st2, w16, dt, pins)
+            st2 = step(st2, w16, dt)
         g = gradient(st2.dphi2_dt, grid.spacing)
         target = -2.0 * np.sum(g * g, axis=0)
         scale = float(np.max(np.abs(target)))
@@ -165,7 +164,7 @@ class TestBochner:
 
     def test_nonlinear_violation_small(self, w16):
         dt = 1e-4
-        acc = BochnerAccumulator(w16, pin_mask(w16.rho))
+        acc = BochnerAccumulator(w16)
         march(init_state(*NONLINEAR, w16), w16, dt=dt, t_final=0.02, step_callback=acc)
         assert acc.worst <= 10.0 * (dt + w16.grid.spacing**2)
 

@@ -329,6 +329,18 @@ class TestCircleCurve:
         assert np.all(np.isfinite(w.grad_log_h))
 
 
+def _edit_snapshot(out, edit):
+    path = str(out / "snap_00001.sgf")
+    snap = read_snapshot(path)
+    edit(snap)
+    write_snapshot(path, snap)
+
+
+def _coarsen(snap):
+    snap.n = (8, 8, 8)
+    snap.fields = {name: f[::2, ::2, ::2] for name, f in snap.fields.items()}
+
+
 class TestMainEntry:
     def test_analyze_missing_dir_exit_2(self, capsys):
         rc = main(["analyze", "/nonexistent/run/dir"])
@@ -351,17 +363,35 @@ class TestMainEntry:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "name, data",
-        [("snap_00009.sgf", b"SGF1\x01\x00"), ("snap_00000.sgf", b"NOPE" + b"\x00" * 64)],
-        ids=["short_header", "bad_magic"],
+        "edit, messages",
+        [
+            (lambda out: (out / "snap_00009.sgf").write_bytes(b"SGF1\x01\x00"), ["snap_00009.sgf"]),
+            (
+                lambda out: (out / "snap_00000.sgf").write_bytes(b"NOPE" + b"\x00" * 64),
+                ["snap_00000.sgf"],
+            ),
+            (
+                lambda out: [p.unlink() for p in out.glob("*.sgf")],
+                ["malformed run directory", "no .sgf snapshot"],
+            ),
+            (
+                lambda out: _edit_snapshot(out, lambda snap: snap.fields.pop("dphi2_dt")),
+                ["malformed run directory", "snap_00001.sgf", "['dphi1_dt', 'phi1', 'phi2']"],
+            ),
+            (
+                lambda out: _edit_snapshot(out, _coarsen),
+                ["malformed run directory", "snap_00001.sgf", "(8, 8, 8)"],
+            ),
+        ],
+        ids=["short_header", "bad_magic", "no_snapshots", "missing_field", "coarser_grid"],
     )
-    def test_analyze_bad_snapshot_exit_2(self, tmp_path, capsys, name, data):
+    def test_analyze_bad_snapshot_exit_2(self, tmp_path, capsys, edit, messages):
         out = tmp_path / "run"
         assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
-        (out / name).write_bytes(data)
+        edit(out)
         assert main(["analyze", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and name in err
+        assert err.startswith("error: ") and all(m in err for m in messages), err
 
     @pytest.mark.parametrize(
         "edit, message",

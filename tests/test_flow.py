@@ -21,7 +21,6 @@ from singflow.flow import (
     init_state,
     initial_fields,
     march,
-    pin_mask,
     run,
     slab_stencil,
     steady_residual,
@@ -80,16 +79,15 @@ class TestInitState:
 
     def test_phi1_pinned_at_init(self, w16):
         st = init_state("poly_cutoff", {"c": 1.0}, w16)
-        pins = pin_mask(w16.rho)
+        pins = w16.rho.pinned
         assert np.max(np.abs(st.phi1[pins])) == 0.0
 
 
 class TestStep:
     def test_zero_fixed_point(self, w16):
         st = init_state("zero", {}, w16)
-        pins = pin_mask(w16.rho)
         for i in range(5):
-            st = step(st, w16, 1e-3, pins, step_index=i)
+            st = step(st, w16, 1e-3, step_index=i)
         assert np.max(np.abs(st.phi1)) == 0.0
         assert np.max(np.abs(st.phi2)) < 1e-15
 
@@ -104,8 +102,7 @@ class TestStep:
         st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
         dt = 1e-3
         lam = stencil_symbol((1, 0, 0), grid)
-        pins = pin_mask(w16.rho)
-        cur = step(st, w16, dt, pins)
+        cur = step(st, w16, dt)
         factor = 1.0 / (1.0 + dt * lam)
         assert np.max(np.abs(cur.phi2 - factor * st.phi2)) < 1e-13
 
@@ -120,17 +117,17 @@ class TestStep:
 
     def test_pinning_exact_after_every_step(self, w16):
         st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
-        pins = pin_mask(w16.rho)
+        pins = w16.rho.pinned
         for i in range(10):
-            st = step(st, w16, 1e-4, pins, step_index=i)
+            st = step(st, w16, 1e-4, step_index=i)
             assert np.max(np.abs(st.phi1[pins])) == 0.0
 
     def test_cached_derivatives_match_rhs(self, w16):
         from singflow.operators import flow_rhs
 
         st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
-        pins = pin_mask(w16.rho)
-        st = step(st, w16, 1e-4, pins)
+        pins = w16.rho.pinned
+        st = step(st, w16, 1e-4)
         r1, r2 = flow_rhs(st.phi1, st.phi2, w16)
         free = ~pins
         assert np.max(np.abs((st.dphi1_dt - r1)[free])) < 1e-12
@@ -148,10 +145,9 @@ class TestStep:
         # a record read back from a snapshot takes its Laplacians from operators.py
         st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
         record = FlowState(st.phi1, st.phi2, st.t, st.dphi1_dt, st.dphi2_dt)
-        pins = pin_mask(w16.rho)
         for _ in range(3):
-            st = step(st, w16, 1e-4, pins)
-            record = step(record, w16, 1e-4, pins)
+            st = step(st, w16, 1e-4)
+            record = step(record, w16, 1e-4)
             for name in ("phi1", "phi2", "dphi1_dt", "dphi2_dt"):
                 assert np.array_equal(getattr(st, name), getattr(record, name)), name
             assert st.t == record.t
@@ -161,10 +157,9 @@ class TestStep:
         st = init_state("trig", {"a": 0.3, "b": 0.2}, w16)
         # force immediate overflow in exp(-2 phi2)
         st = FlowState(st.phi1, st.phi2 * 1e308, 0.25, st.dphi1_dt, st.dphi2_dt)
-        pins = pin_mask(w16.rho)
         with pytest.raises(FlowBlowupError) as err:
             with np.errstate(all="ignore"):
-                step(st, w16, 1e-3, pins, step_index=7)
+                step(st, w16, 1e-3, step_index=7)
         # the error describes the last finite state, the one the failed step started from
         max1, max2 = float(np.max(np.abs(st.phi1))), float(np.max(np.abs(st.phi2)))
         assert np.isfinite(max2) and max2 > 1e300
@@ -301,14 +296,12 @@ class TestFixedPoint:
         st = init_state("zero", {}, w16)
         phi2 = np.full(w16.grid.shape, 0.3)
         st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
-        pins = pin_mask(w16.rho)
-        nxt = step(st, w16, 1e-3, pins)
+        nxt = step(st, w16, 1e-3)
         assert np.max(np.abs(nxt.phi2 - st.phi2)) < 1e-14
         assert np.max(np.abs(nxt.phi1)) == 0.0
 
     def test_small_residual_moves_proportionally(self, w16):
         grid = w16.grid
-        pins = pin_mask(w16.rho)
         x1 = np.broadcast_to(grid.coords[0], grid.shape)
         dt = 1e-3
         moves = []
@@ -316,7 +309,7 @@ class TestFixedPoint:
             st = init_state("zero", {}, w16)
             phi2 = np.full(grid.shape, 0.3) + eps * np.sin(2 * np.pi * x1)
             st = FlowState(st.phi1, phi2, st.t, *flow_rhs(st.phi1, phi2, w16))
-            nxt = step(st, w16, dt, pins)
+            nxt = step(st, w16, dt)
             moves.append(np.max(np.abs(nxt.phi2 - st.phi2)))
         # movement scales linearly with the residual scale eps
         assert 5.0 <= moves[0] / moves[1] <= 20.0
@@ -329,6 +322,15 @@ class TestCfl:
         s = w16.grid.spacing
         min_rho = float(np.min(w16.rho.rho))
         assert dt == pytest.approx(0.25 * s * min_rho / (2 * 1.5), rel=1e-12)
+
+    def test_cfl_reads_the_gradient_of_phi2(self, w16):
+        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.3, "b": 0.2}, w16)
+        s = w16.grid.spacing
+        min_rho = float(np.min(w16.rho.rho))
+        g2 = gradient(st.phi2, s)
+        max_g2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=0))))
+        assert max_g2 > 1.0
+        assert cfl_dt(st, w16, 0.25) == 0.25 * s * min_rho / (2.0 * w16.alpha + max_g2 * min_rho)
 
 
 @pytest.fixture(scope="module", params=[8, 16, 32, 48, 64])
@@ -346,8 +348,8 @@ class TestBitwiseAgainstOperators:
         phi1 = rng.standard_normal(weight_n.grid.shape)
         phi2 = 0.1 * rng.standard_normal(weight_n.grid.shape)
         s = weight_n.grid.spacing
-        pins = pin_mask(weight_n.rho)
-        st = derive_state(phi1, phi2, 0.0, weight_n, pins)
+        pins = weight_n.rho.rho_unclamped <= weight_n.grid.spacing  # the pinned ring, by its rule
+        st = derive_state(phi1, phi2, 0.0, weight_n)
         ref1, ref2 = flow_rhs(phi1, phi2, weight_n)
         ref1[pins] = 0.0
         assert np.array_equal(st.dphi1_dt, ref1)
@@ -385,7 +387,7 @@ class TestBitwiseAgainstOperators:
 
         # the step written with operators.py only, never reading derived fields
         grid, s = w16.grid, w16.grid.spacing
-        pins = pin_mask(w16.rho)
+        pins = w16.rho.rho_unclamped <= w16.grid.spacing  # the pinned ring, by its rule
         factor = implicit_euler_factor(grid, dt)
         pre = flow._series_constants(st0, w16)
 
@@ -446,7 +448,7 @@ class TestMarch:
         expected = []
         for n, dt in ((8, 2e-4), (16, 1e-4)):
             w = build_problem(dataclasses.replace(cfg, n=n))
-            acc = BochnerAccumulator(w, pin_mask(w.rho))
+            acc = BochnerAccumulator(w)
             st0 = init_state(cfg.family, cfg.family_params, w)
             march(st0, w, dt=dt, t_final=0.04, step_callback=acc)
             expected.append(acc.worst)
@@ -491,11 +493,30 @@ class TestLanes:
         try:
             for _ in range(20):
                 seen = []
-                assert ws.map_slabs(work) == list(range(64))
+                assert ws.map(work, ws.slabs) == list(range(64))
                 assert sorted(seen) == list(range(64))
         finally:
             sys.setswitchinterval(interval)
         assert lanes_used == {id(lane) for lane in ws.lanes}
+
+    @pytest.mark.parametrize("raising", [0, 1], ids=["caller_lane", "worker_lane"])
+    def test_a_raising_job_propagates_after_both_lanes_stop(self, monkeypatch, raising):
+        monkeypatch.setattr(flow, "LANES", 2)
+        monkeypatch.setattr(flow, "SLAB_NODES", 16)
+        ws = flow.SlabWorkspace((64, 4, 4))
+        both_started = threading.Barrier(2, timeout=20)  # one job per lane
+        finished = []
+
+        def work(item, lane):
+            both_started.wait()
+            if lane is ws.lanes[raising]:
+                raise ValueError(item)
+            time.sleep(0.2)
+            finished.append(item)
+
+        with pytest.raises(ValueError):
+            ws.map(work, [0, 1])
+        assert len(finished) == 1  # the other lane's job ended before the error came out
 
     def test_run_at_n64_writes_identical_files(self, tmp_path, monkeypatch):
         from singflow.cli import cmd_run
@@ -534,9 +555,8 @@ class TestLanes:
         monkeypatch.setattr(flow, "LANES", 2)
         monkeypatch.setattr(flow, "SLAB_NODES", 256)  # one-plane slabs at n = 16
         w = dataclasses.replace(w16)
-        pins = pin_mask(w.rho)
         st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
-        expected = step(st, w, 1e-4, pins)  # also starts the worker lane's pool
+        expected = step(st, w, 1e-4)  # also starts the worker lane's pool
         assert len(w.slab_workspace.lanes) == 2
 
         release = threading.Event()
@@ -550,7 +570,7 @@ class TestLanes:
 
         monkeypatch.setattr(flow, "heat_solve", spy)
         try:
-            got = step(st, w, 1e-4, pins)
+            got = step(st, w, 1e-4)
             assert not blocker.done()  # the step did not wait for the worker
         finally:
             release.set()
@@ -576,7 +596,6 @@ class TestLanes:
         w64 = _weight(64)
         st = init_state("trig", {"a": 0.3, "b": 0.2}, w64)
         st = FlowState(st.phi1, st.phi2 * 1e308, 0.25, st.dphi1_dt, st.dphi2_dt)
-        pins = pin_mask(w64.rho)
         errors = []
         for lanes in (1, 2):
             monkeypatch.setattr(flow, "LANES", lanes)
@@ -585,7 +604,7 @@ class TestLanes:
                 # the worker lane runs under the caller's errstate, so it warns no more than one lane
                 warnings.simplefilter("error")
                 with np.errstate(all="ignore"):
-                    step(st, w, 1e-3, pins, step_index=7)
+                    step(st, w, 1e-3, step_index=7)
             assert len(w.slab_workspace.lanes) == lanes
             assert err.traceback[-1].name == "step"
             errors.append(err.value)

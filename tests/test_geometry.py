@@ -121,6 +121,19 @@ class TestDistanceToCurve:
         oracle = brute_force_curve_distance(g, gamma)
         assert np.max(np.abs(d.rho_unclamped - oracle)) <= g.spacing
 
+    @pytest.mark.parametrize(
+        "gamma",
+        [CurveGamma.axis_line(0.5, 0.5), CurveGamma.circle((0.5, 0.5, 0.5), 0.25, 2, 64)],
+        ids=["axis_line", "circle"],
+    )
+    def test_curve_masks_follow_their_rule(self, gamma):
+        g = TorusGrid(16, 1.0)
+        d = distance_to_curve(g, gamma)
+        assert np.array_equal(d.pinned, d.rho_unclamped <= g.spacing)
+        assert np.array_equal(d.outside_ring, d.rho_unclamped > 2.0 * g.spacing)
+        assert np.any(d.pinned) and np.any(d.outside_ring)
+        assert not np.any(d.pinned & d.outside_ring)
+
     def test_circle_radius_rejected(self):
         g = TorusGrid(12, 1.0)
         gamma = CurveGamma.circle((0.5, 0.5, 0.5), 0.5, 2, 64)
