@@ -322,7 +322,9 @@ def parse_config(path: str) -> RunConfig:
 def build_problem(cfg: RunConfig, near_radius: float | None = None):
     """The weight field of a config, with its grid and distance field.
 
-    near_radius, when given, replaces the distance field's default near-curve radius.
+    near_radius, when given, replaces the distance field's default near-curve
+    radius. A grid with no node outside the curve's exclusion ring (radius
+    2 * spacing) is rejected, since the sup-type norms read only those nodes.
     """
     from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
     from singflow.weight import build_weight
@@ -335,4 +337,11 @@ def build_problem(cfg: RunConfig, near_radius: float | None = None):
             cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
         )
     rho = distance_to_curve(grid, gamma, near_radius=near_radius)
+    if not rho.outside_ring.any():
+        raise ConfigError(
+            [
+                f"[grid] n = {cfg.n}: every node lies within the exclusion ring "
+                f"(radius 2 * spacing = {2.0 * grid.spacing:.6g}) of the curve; use a finer grid"
+            ]
+        )
     return build_weight(rho, alpha=cfg.alpha, tol=cfg.solver_tol)

@@ -164,9 +164,10 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
 # scratch fields then stay in cache while the kernels read and write them.
 SLAB_NODES = 32768
 
-# Threads that step a grid of more than one slab: the calling thread and, with
-# two, one worker. Read once from the CPUs this process may use. Grids of one
-# slab stay on the calling thread, where a second thread cost more than it saved.
+# Threads of a workspace: the calling thread and, with two, one worker. Read
+# once from the CPUs this process may use. The worker takes every slab hand-out's
+# second lane on a grid of more than one slab, and the diagnostics row of `run`
+# on any grid; splitting a grid of one slab cost more than it saved.
 LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -194,9 +195,11 @@ class SlabWorkspace:
 
     `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
     `Lane` per thread that runs them: `LANES` on a grid of more than one slab,
-    else one. The second lane runs on a one-thread pool made on first use.
-    Each lane writes only to its own scratch and to buffers the caller owns,
-    so the outputs are the same for any number of lanes.
+    else one. With `LANES == 2` the workspace has one worker thread, on a
+    one-thread pool made on first use: it runs the second lane of `map` and
+    the jobs of `submit`, on a grid of any size. Each lane writes only to its
+    own scratch and to buffers the caller owns, so the outputs are the same for
+    any number of lanes. The worker ends when the workspace is dropped.
     """
 
     def __init__(self, shape):
@@ -204,15 +207,23 @@ class SlabWorkspace:
         planes = min(n0, max(1, SLAB_NODES // (n1 * n2)))
         self.slabs = [slice(i, min(i + planes, n0)) for i in range(0, n0, planes)]
         self.lanes = [Lane(planes, shape) for _ in range(LANES if len(self.slabs) > 1 else 1)]
+        self._threaded = LANES > 1
         self._pool = None
+
+    def _on_worker(self, fn, *args):
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
+        # in a copy of this thread's context, so numpy's errstate holds on the worker too
+        return self._pool.submit(contextvars.copy_context().run, fn, *args)
 
     def map(self, work, items) -> list:
         """[work(item, lane) for item in items], each item handed out to whichever lane is free.
 
         This thread works through the items on the first lane while the worker
         takes them on the second, so a busy worker never holds the result
-        back. Both lanes have stopped when this returns or raises. The pool's
-        thread ends when the workspace is dropped.
+        back. Both lanes have stopped when this returns or raises.
         """
         results = [None] * len(items)
         todo = enumerate(items)
@@ -229,12 +240,7 @@ class SlabWorkspace:
         if len(self.lanes) == 1:
             drain(self.lanes[0])
             return results
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
-        # in a copy of this thread's context, so numpy's errstate holds on the worker too
-        future = self._pool.submit(contextvars.copy_context().run, drain, self.lanes[1])
+        future = self._on_worker(drain, self.lanes[1])
         try:
             drain(self.lanes[0])
         except BaseException:
@@ -244,6 +250,26 @@ class SlabWorkspace:
         if not future.cancel():
             future.result()  # waits, and raises what the worker raised
         return results
+
+    def submit(self, job):
+        """The future of job(), run on the worker in a copy of this thread's context.
+
+        With one usable CPU (`LANES == 1`) the job runs here and the future
+        comes back done. Either way its error is raised by
+        `future.result()` on the calling thread, which must wait for the
+        future before it raises or lets go of what the job reads. A job must
+        not call `map`: the lanes' scratch belongs to the calling thread.
+        """
+        if self._threaded:
+            return self._on_worker(job)
+        from concurrent.futures import Future
+
+        done = Future()
+        try:
+            done.set_result(job())
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
 
 
 def slab_stencil(f: np.ndarray, planes: slice, lane: Lane, s: float, lap: np.ndarray, grad=None):
@@ -449,7 +475,11 @@ def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
 
 
 def _series_constants(state0: FlowState, w: WeightField) -> dict:
-    """Per-run constant factors of the diagnostics row, relative to state0."""
+    """Per-run constant factors of the diagnostics row, relative to state0, and its scratch.
+
+    The row writes its grid-sized products into the two `scratch` fields, so
+    one row at a time may use them.
+    """
     rho = w.rho.rho
     a = w.alpha
     return {
@@ -460,33 +490,45 @@ def _series_constants(state0: FlowState, w: WeightField) -> dict:
         "rho_35": rho**3.5,
         "phi1_0": state0.phi1.copy(),
         "Phi2_0": np.exp(a * w.log_h + state0.phi2),
+        "scratch": np.empty((2, *rho.shape)),
     }
+
+
+def _weighted_abs(r: np.ndarray, rho_power: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rho_power * |r| into out."""
+    return np.multiply(rho_power, np.abs(r, out=out), out=out)
 
 
 def _series_row(state: StepState, w: WeightField, pre: dict):
     vol = w.grid.cell_volume
     r1, r2 = state.dphi1_dt, state.dphi2_dt
     wtil = state.wtil
+    a, b = pre["scratch"]
 
-    H = float(np.sum(wtil * state.grad1_sq + state.grad2_sq)) * vol
-    theta = wtil * r1 * r1 + r2 * r2
-    theta_l2 = float(np.sum(theta * theta)) * vol
+    energy = np.multiply(wtil, state.grad1_sq, out=a)
+    energy += state.grad2_sq
+    H = float(np.sum(energy)) * vol
+    theta = np.multiply(wtil, r1, out=b)  # wtil r1^2 + r2^2
+    theta *= r1
+    theta += np.multiply(r2, r2, out=a)
+    theta_l2 = float(np.sum(np.multiply(theta, theta, out=a))) * vol
     log_theta2 = log_integral_sq(theta, vol)
 
-    Phi2 = np.exp(pre["alpha_log_h"] + state.phi2)
+    Phi2 = np.add(pre["alpha_log_h"], state.phi2, out=a)
+    np.exp(Phi2, out=Phi2)
     hyp = hyperbolic_distance(state.phi1, Phi2, pre["phi1_0"], pre["Phi2_0"])
 
-    weighted_sup = float(
-        np.max((pre["rho_15ma"] * np.abs(r1) + pre["rho_15"] * np.abs(r2))[w.rho.outside_ring])
-    )
-    res1 = float(np.max(pre["rho_35ma"] * np.abs(r1)))
-    res2 = float(np.max(pre["rho_35"] * np.abs(r2)))
+    weighted = _weighted_abs(r1, pre["rho_15ma"], a)
+    weighted += _weighted_abs(r2, pre["rho_15"], b)
+    weighted_sup = float(np.max(weighted, where=w.rho.outside_ring, initial=-np.inf))
+    res1 = float(np.max(_weighted_abs(r1, pre["rho_35ma"], a)))
+    res2 = float(np.max(_weighted_abs(r2, pre["rho_35"], a)))
     return {
         "t": state.t,
         "H": H,
         "theta_l2": theta_l2,
         "log_theta2": log_theta2,
-        "max_abs_phi2": float(np.max(np.abs(state.phi2))),
+        "max_abs_phi2": float(np.max(np.abs(state.phi2, out=a))),
         "hyp_dist_to_init": float(np.max(hyp)),
         "weighted_dt_sup": weighted_sup,
         "residual1": res1,
@@ -526,6 +568,15 @@ def run(
 
     Streaming consumers that need no series row hook into `march` instead.
 
+    Each state's diagnostics row is handed to the weight's slab-workspace
+    worker (`SlabWorkspace.submit`) while this thread takes the next step.
+    The row of state k is collected before the row of state k + 1 is handed
+    out, so one row is in flight at a time and the series keeps step order;
+    the row is a pure function of its state, so the series is the same as a
+    serial one. The snapshot copy and the mean shift are made on this thread
+    before the handoff. The worker has finished its row before this returns
+    or raises; a row's error is raised here.
+
     conserve_phi2_mean holds the phi2 mean at exactly zero (initial state
     included). With phi1 = 0 and zero-mean data the discrete flow conserves
     that mean exactly, but FFT round-off lets a tiny constant accumulate, and
@@ -550,18 +601,32 @@ def run(
     series: dict[str, list] = {}
     snapshots: list[FlowState] = []
     counter = itertools.count()
+    ws = w.slab_workspace
+    row = None  # the future of the last state's row
+
+    def collect_row():
+        for key, val in row.result().items():
+            series.setdefault(key, []).append(val)
 
     def on_state(state):
+        nonlocal row
         i = next(counter)
         if conserve_phi2_mean and i > 0:
             # constant shift: the derived gradient norms and Laplacians stay
             # equal up to rounding, and wtil only multiplies |grad phi1|^2 = 0
             phi2 = state.phi2
             phi2 -= float(phi2.mean())
-        for key, val in _series_row(state, w, pre).items():
-            series.setdefault(key, []).append(val)
         if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
+        if row is not None:
+            collect_row()
+        row = ws.submit(lambda: _series_row(state, w, pre))
 
-    march(state0, w, dt, t_final, step_callback=on_state)
+    try:
+        march(state0, w, dt, t_final, step_callback=on_state)
+    except BaseException:
+        if row is not None and not row.cancel():
+            row.exception()  # waits: the worker still reads a state of this run
+        raise
+    collect_row()
     return Trajectory(series=series, snapshots=snapshots)

@@ -51,8 +51,9 @@ def log_integral_sq(f: np.ndarray, cell_volume: float) -> float:
     m = float(np.max(np.abs(f)))
     if m == 0.0 or not np.isfinite(m):
         return -math.inf if m == 0.0 else math.inf
-    scaled = f / m
-    total = float(np.sum(scaled * scaled)) * cell_volume
+    sq = f / m
+    sq *= sq
+    total = float(np.sum(sq)) * cell_volume
     return 2.0 * math.log(m) + math.log(total)
 
 
@@ -109,13 +110,22 @@ def hyperbolic_distance(
 
     d = 2 atanh sqrt(((phi1-phi1_0)^2 + (Phi2-Phi2_0)^2)
                      / ((phi1-phi1_0)^2 + (Phi2+Phi2_0)^2)),
-    finite whenever both second components are positive.
+    finite whenever both second components are positive. Evaluated in place
+    in three grid-sized buffers.
     """
-    d1 = phi1 - phi1_0
-    num = d1 * d1 + (Phi2 - Phi2_0) ** 2
-    den = d1 * d1 + (Phi2 + Phi2_0) ** 2
-    q = np.sqrt(num / den)
-    return 2.0 * np.arctanh(q)
+    d1_sq = np.subtract(phi1, phi1_0)
+    d1_sq *= d1_sq
+    num = np.subtract(Phi2, Phi2_0)
+    num *= num
+    num += d1_sq
+    den = np.add(Phi2, Phi2_0)
+    den *= den
+    den += d1_sq
+    d = np.divide(num, den, out=num)
+    np.sqrt(d, out=d)
+    np.arctanh(d, out=d)
+    d *= 2.0
+    return d
 
 
 def ball_mask(grid: TorusGrid, center, sigma: float) -> np.ndarray:

@@ -362,6 +362,17 @@ class TestMainEntry:
         assert "[galerkin] t_final = 1e+250: 1e+253 steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_grid_inside_the_exclusion_ring_exit_2(self, tmp_path, capsys):
+        # at n = 3 every node lies within 2 spacings of the default axis line
+        p = tmp_path / "coarse.cfg"
+        p.write_text("[grid]\nn = 3\n[flow]\nfamily = trig\nt_final = 2e-3\ndt = 1e-3\n")
+        rc = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "[grid] n = 3: every node lies within the exclusion ring" in err
+        assert "radius 2 * spacing = 0.666667" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit, messages",
         [

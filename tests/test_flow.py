@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import sys
 import threading
@@ -417,6 +418,37 @@ class TestBitwiseAgainstOperators:
         for col, got in traj.series.items():
             assert got == [row[col] for row in rows], col
 
+    def test_series_row_matches_plain_expressions(self, w16):
+        # the row and the norms it calls work in place; the same products as whole-array expressions
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        pre = flow._series_constants(st0, w16)
+        rho, a, vol = w16.rho.rho, w16.alpha, w16.grid.cell_volume
+        Phi2_0 = np.exp(a * w16.log_h + st0.phi2)
+        states = []
+        march(st0, w16, dt=2e-4, t_final=2e-3, step_callback=states.append)
+        for st in states:
+            r1, r2 = st.dphi1_dt, st.dphi2_dt
+            theta = st.wtil * r1 * r1 + r2 * r2
+            m = np.max(np.abs(theta))
+            log_theta2 = 2.0 * math.log(m) + math.log(float(np.sum((theta / m) * (theta / m))) * vol)
+            d1 = st.phi1 - st0.phi1
+            Phi2 = np.exp(a * w16.log_h + st.phi2)
+            num = d1 * d1 + (Phi2 - Phi2_0) ** 2
+            den = d1 * d1 + (Phi2 + Phi2_0) ** 2
+            hyp = 2.0 * np.arctanh(np.sqrt(num / den))
+            weighted = rho ** (1.5 - a) * np.abs(r1) + rho**1.5 * np.abs(r2)
+            assert flow._series_row(st, w16, pre) == {
+                "t": st.t,
+                "H": float(np.sum(st.wtil * st.grad1_sq + st.grad2_sq)) * vol,
+                "theta_l2": float(np.sum(theta * theta)) * vol,
+                "log_theta2": log_theta2,
+                "max_abs_phi2": float(np.max(np.abs(st.phi2))),
+                "hyp_dist_to_init": float(np.max(hyp)),
+                "weighted_dt_sup": float(np.max(weighted[w16.rho.outside_ring])),
+                "residual1": float(np.max(rho ** (3.5 - a) * np.abs(r1))),
+                "residual2": float(np.max(rho**3.5 * np.abs(r2))),
+            }
+
 
 class TestMarch:
     def test_final_state_and_callback_sequence_match_run(self, w16):
@@ -518,24 +550,181 @@ class TestLanes:
             ws.map(work, [0, 1])
         assert len(finished) == 1  # the other lane's job ended before the error came out
 
-    def test_run_at_n64_writes_identical_files(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _cmd_run_outputs(n, t_final, tmp_path, monkeypatch) -> list[dict]:
+        """The files cmd_run writes under one lane and under two."""
         from singflow.cli import cmd_run
         from singflow.config import parse_config_text
 
         cfg = parse_config_text(
-            "[grid]\nn = 64\n"
+            f"[grid]\nn = {n}\n"
             "[flow]\nfamily = poly_cutoff+trig\nc = 0.01\na = 0.001\nb = 0.0015\n"
-            "t_final = 6e-4\ndt = 1e-4\nsnapshot_interval = 2e-4\n"
+            f"t_final = {t_final}\ndt = 1e-4\nsnapshot_interval = 2e-4\n"
             "[analysis]\nholder_pairs = 2000\n"
         )
         outputs = []
         for lanes in (1, 2):
             monkeypatch.setattr(flow, "LANES", lanes)
-            out = tmp_path / f"lanes{lanes}"
+            out = tmp_path / f"n{n}_lanes{lanes}"
             assert cmd_run(cfg, str(out)) == 0
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        return outputs
+
+    def test_run_at_n64_writes_identical_files(self, tmp_path, monkeypatch):
+        outputs = self._cmd_run_outputs(64, 6e-4, tmp_path, monkeypatch)
         assert sum(name.endswith(".sgf") for name in outputs[0]) == 4
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_run_on_one_slab_writes_identical_files(self, tmp_path, monkeypatch, n):
+        # one slab: only the diagnostics rows go to the worker
+        outputs = self._cmd_run_outputs(n, 2e-3, tmp_path, monkeypatch)
+        assert sum(name.endswith(".sgf") for name in outputs[0]) == 11
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def _spy_rows(monkeypatch, before=None):
+        """Patch flow._series_row to log the thread and errstate of each row; before(i) runs first."""
+        rows = []
+        row_ = flow._series_row
+
+        def spy(state, w, pre):
+            rows.append((threading.current_thread(), np.geterr()))
+            if before is not None:
+                before(len(rows) - 1)
+            return row_(state, w, pre)
+
+        monkeypatch.setattr(flow, "_series_row", spy)
+        return rows
+
+    def test_series_keeps_step_order_under_thread_switches(self, w16, monkeypatch):
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
+        rows = self._spy_rows(monkeypatch)
+
+        def series(lanes):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            w = dataclasses.replace(w16)
+            return run(st0, w, dt=1e-4, t_final=4e-3, snapshot_interval=4e-3).series
+
+        inline = series(1)
+        assert {thread for thread, _ in rows} == {threading.current_thread()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                rows.clear()
+                assert series(2) == inline
+                assert threading.current_thread() not in {thread for thread, _ in rows}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(inline["t"]) == 41 and np.all(np.diff(inline["t"]) > 0)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_raising_row_propagates_from_run(self, w16, monkeypatch, lanes):
+        monkeypatch.setattr(flow, "LANES", lanes)
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        active = []
+
+        def before(k):
+            if k == 3:
+                active.append(k)
+                time.sleep(0.05)  # the next step finishes first
+                active.remove(k)
+                raise ValueError("row of state 3")
+
+        rows = self._spy_rows(monkeypatch, before)
+        with pytest.raises(ValueError, match="row of state 3") as err:
+            run(st0, w, dt=1e-4, t_final=2e-3, snapshot_interval=2e-3)
+        assert "run" in [entry.name for entry in err.traceback]
+        assert len(rows) == 4  # no row is handed out after the one that raised
+        assert active == []  # the row had ended before run raised
+        (thread,) = {thread for thread, _ in rows}
+        assert (thread is threading.current_thread()) == (lanes == 1)
+        # the worker is idle: a fresh job starts at once, on the same thread
+        assert w.slab_workspace.submit(threading.current_thread).result(timeout=5) is thread
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_blowup_with_a_row_in_flight_keeps_its_payload(self, w16, monkeypatch, lanes):
+        monkeypatch.setattr(flow, "LANES", lanes)
+        w = dataclasses.replace(w16)
+        st = init_state("trig", {"a": 0.3, "b": 0.2}, w)
+        finished = []
+
+        def before(k):
+            time.sleep(0.2)  # still in flight when the first step fails
+            finished.append(k)
+
+        with np.errstate(all="ignore"):
+            st0 = derive_state(st.phi1, st.phi2 * 1e308, 0.25, w)
+            with pytest.raises(FlowBlowupError) as expected:
+                step(st0, w, 1e-3, step_index=1)
+            self._spy_rows(monkeypatch, before)
+            with pytest.raises(FlowBlowupError) as err:
+                run(st0, w, dt=1e-3, t_final=5e-3, snapshot_interval=5e-3)
+        assert finished == [0]  # the row of state 0 had ended before run raised
+        assert err.traceback[-1].name == "step"
+        payload = [
+            (e.step, e.t, e.max_phi1, e.max_phi2, e.max_drift, str(e))
+            for e in (err.value, expected.value)
+        ]
+        assert payload[0] == payload[1]
+        assert payload[0][:2] == (1, 0.25)
+
+    @pytest.mark.parametrize("mode", ["ignore", "warn"])
+    def test_errstate_holds_inside_the_row_on_the_worker(self, w16, monkeypatch, mode):
+        monkeypatch.setattr(flow, "LANES", 2)
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        rows = self._spy_rows(monkeypatch)
+        with np.errstate(all=mode):
+            run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)
+        assert len(rows) == 11
+        for thread, err in rows:
+            assert thread is not threading.current_thread()
+            assert set(err.values()) == {mode}
+
+    def test_one_row_in_flight_while_the_next_step_runs(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        started, finished, at_step = [], [], []
+
+        def row(state, w_, pre):
+            started.append(state.t)
+            time.sleep(2e-3)  # longer than a step at n = 16, so rows would pile up if not waited for
+            out = row_(state, w_, pre)
+            finished.append(state.t)
+            return out
+
+        def step_(*args, step_index, **kwargs):
+            at_step.append((step_index, len(started), len(finished)))
+            return step_orig(*args, step_index=step_index, **kwargs)
+
+        row_, step_orig = flow._series_row, flow.step
+        monkeypatch.setattr(flow, "_series_row", row)
+        monkeypatch.setattr(flow, "step", step_)
+        traj = run(st0, w, dt=1e-4, t_final=2e-3, snapshot_interval=2e-3)
+        assert len(traj.series["t"]) == len(finished) == 21
+        assert finished == sorted(finished)
+        # step j runs once rows 0 .. j-2 are collected, beside at most row j-1
+        for j, n_started, n_finished in at_step:
+            assert n_finished >= j - 1 and n_started - n_finished <= 1, (j, n_started, n_finished)
+        assert any(s > f for _, s, f in at_step)  # steps did run beside a row
+
+    def test_worker_thread_ends_with_its_weight_on_one_slab(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        before = set(threading.enumerate())
+        w = dataclasses.replace(w16)
+        assert len(w.slab_workspace.lanes) == 1
+        st0 = init_state("trig", {"a": 0.1, "b": 0.1}, w)
+        assert not set(threading.enumerate()) - before  # one slab: init_state starts no thread
+        run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)  # the rows start the worker
+        (worker,) = set(threading.enumerate()) - before
+        assert worker.name.startswith("singflow-lane")
+        del w
+        worker.join(timeout=10)
+        assert not worker.is_alive()
 
     def test_check_bochner_same_for_any_lane_count(self, monkeypatch):
         from singflow.config import parse_config
