@@ -82,8 +82,8 @@ def _write_convergence(out_dir: str, traj, w) -> None:
 
 
 def cmd_run(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     w = build_problem(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid could be built
     state0 = init_state(cfg.family, cfg.family_params, w)
     dt = cfg.dt  # a whole fraction of t_final under dt_policy = fixed (see config)
     if cfg.dt_policy == "cfl":
@@ -116,8 +116,8 @@ def _matrix_rows(M):
 
 
 def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     w = build_problem(cfg)
+    os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid could be built
     phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
     basis = build_basis(w.grid, cfg.galerkin_N)
     f1, f2 = galerkin_forcing(cfg.galerkin_forcing, w.grid, w.rho)
@@ -265,8 +265,7 @@ def cmd_analyze(run_dir: str) -> int:
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     from singflow.verify import run_battery
 
-    os.makedirs(out_dir, exist_ok=True)
-    verdicts = run_battery(cfg, out_dir)
+    verdicts = run_battery(cfg, out_dir)  # makes out_dir once the config's grid is built
     width = max(len(v["check_name"]) for v in verdicts)
     all_pass = True
     for v in verdicts:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -160,8 +161,8 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
 
 
 # Nodes per slab of whole axis-0 planes: max(1, SLAB_NODES // n^2) planes, so
-# one slab up to n = 32 and 8 planes at n = 64. A slab's padded copy and
-# scratch fields then stay in cache while the kernels read and write them.
+# one slab up to n = 32 and 8 planes at n = 64. A slab and its scratch fields
+# then stay in cache while the kernels read and write them.
 SLAB_NODES = 32768
 
 # Threads of a workspace: the calling thread and, with two, one worker. Read
@@ -173,25 +174,32 @@ LANES = min(
 )
 
 
+def _refcounts(arrays) -> list[int]:
+    """sys.getrefcount of each array, each read the same way, so the counts compare."""
+    return [sys.getrefcount(a) for a in arrays]
+
+
+# What `_refcounts` reads for an array that only its list references.
+_LIST_ONLY = _refcounts([np.empty(0)])[0]
+
+
 class Lane:
     """One thread's scratch of the fused kernels.
 
-    `pad` holds one slab wrap-padded by a node on every side, `grads` two
-    slab-sized vector fields, `scratch` three slab-sized scalar fields (the
-    first is used by `slab_stencil`), and `spec` the rfftn spectrum of one
-    grid field for `heat_solve`.
+    `grads` holds two slab-sized vector fields, `scratch` three slab-sized
+    scalar fields (the first is used by `slab_stencil`), and `spec` the rfftn
+    spectrum of one grid field for `heat_solve`.
     """
 
     def __init__(self, planes: int, shape):
         n0, n1, n2 = shape
-        self.pad = np.empty((planes + 2, n1 + 2, n2 + 2))
         self.grads = np.empty((2, 3, planes, n1, n2))
         self.scratch = np.empty((3, planes, n1, n2))
         self.spec = np.empty((n0, n1, n2 // 2 + 1), dtype=complex)
 
 
 class SlabWorkspace:
-    """Slabs and lanes of the fused stencil kernels; reach it through `WeightField.slab_workspace`.
+    """Slabs, lanes and output arrays of the fused kernels; reach it through `WeightField.slab_workspace`.
 
     `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
     `Lane` per thread that runs them: `LANES` on a grid of more than one slab,
@@ -200,7 +208,19 @@ class SlabWorkspace:
     the jobs of `submit`, on a grid of any size. Each lane writes only to its
     own scratch and to buffers the caller owns, so the outputs are the same for
     any number of lanes. The worker ends when the workspace is dropped.
+
+    `grid_array` hands out the grid-sized outputs of `step` and `derive_state`.
+    It keeps up to `MAX_ARRAYS` of them and hands one out again only once
+    nothing outside the workspace references it: no state, no view of one of
+    its arrays, no job on the worker. A caller may therefore hold any state or
+    array it was given, for as long as it likes, and its bits never change
+    under it; once every reference is dropped, the memory serves a later
+    state without fresh pages.
     """
+
+    # four states' outputs: the initial state its caller holds (two, when `run`
+    # projects out the phi2 mean), the state a step reads and the one it builds
+    MAX_ARRAYS = 36
 
     def __init__(self, shape):
         n0, n1, n2 = shape
@@ -209,6 +229,20 @@ class SlabWorkspace:
         self.lanes = [Lane(planes, shape) for _ in range(LANES if len(self.slabs) > 1 else 1)]
         self._threaded = LANES > 1
         self._pool = None
+        self._shape = tuple(shape)
+        self._arrays = []  # the grid arrays handed out, each reusable once only this list holds it
+        self._arrays_lock = threading.Lock()
+
+    def grid_array(self) -> np.ndarray:
+        """A grid-shaped float array with undefined contents, which the caller now owns."""
+        with self._arrays_lock:
+            for a, refs in zip(self._arrays, _refcounts(self._arrays)):
+                if refs == _LIST_ONLY:
+                    return a
+            a = np.empty(self._shape)
+            if len(self._arrays) < self.MAX_ARRAYS:
+                self._arrays.append(a)
+            return a
 
     def _on_worker(self, fn, *args):
         if self._pool is None:
@@ -272,35 +306,80 @@ class SlabWorkspace:
         return done
 
 
+def _neighbours(f: np.ndarray, planes: slice) -> list:
+    """Per axis, the parts (index, f at i + 1, f at i - 1) that cover the slab `planes` of f.
+
+    f is C-contiguous. Each axis has one bulk part: a flat slice of the slab
+    and two contiguous slices of f at a flat offset (+-1 on axis 2, +-n2 on
+    axis 1, whole planes on axis 0). The wrap parts come after it and set the
+    nodes whose neighbour wraps, overwriting what the bulk part wrote there
+    on axes 1 and 2: the first and last column (axis 2) and row (axis 1) as
+    thin slab indices, and the grid's end planes (axis 0) as flat slices,
+    each as its own op.
+    """
+    n0, n1, n2 = f.shape
+    a, b = planes.start, planes.stop
+    m = n1 * n2  # nodes per plane
+    size = (b - a) * m
+    ff = f.reshape(-1)
+    F, F3 = ff[a * m : b * m], f[planes]
+
+    def rows(i, j):  # planes i .. j - 1 of f, flat
+        return ff[i * m : j * m]
+
+    lo = max(a, 1)
+    hi = max(lo, min(b, n0 - 1))  # planes lo .. hi - 1: their axis-0 neighbours do not wrap
+    axis0 = [(slice((lo - a) * m, (hi - a) * m), rows(lo + 1, hi + 1), rows(lo - 1, hi - 1))]
+    for i in {0, n0 - 1} & {a, b - 1}:  # grid-end planes of the slab
+        up, down = (i + 1) % n0, (i - 1) % n0
+        axis0.append((slice((i - a) * m, (i + 1 - a) * m), rows(up, up + 1), rows(down, down + 1)))
+    axis1 = [
+        (slice(n2, size - n2), F[2 * n2 :], F[: size - 2 * n2]),
+        (np.s_[:, 0], F3[:, 1 % n1], F3[:, n1 - 1]),
+        (np.s_[:, n1 - 1], F3[:, 0], F3[:, (n1 - 2) % n1]),
+    ]
+    axis2 = [
+        (slice(1, size - 1), F[2:], F[: size - 2]),
+        (np.s_[:, :, 0], F3[:, :, 1 % n2], F3[:, :, n2 - 1]),
+        (np.s_[:, :, n2 - 1], F3[:, :, 0], F3[:, :, (n2 - 2) % n2]),
+    ]
+    return [axis0, axis1, axis2]
+
+
+def _flat(out: np.ndarray) -> np.ndarray:
+    """out as a flat view; an out that is not C-contiguous raises, since its reshape would be a copy."""
+    if not out.flags.c_contiguous:
+        raise ValueError("slab_stencil writes only into C-contiguous outputs")
+    return out.reshape(-1)
+
+
+def _apply(op, parts, out: np.ndarray) -> None:
+    """out = op(f at i + 1, f at i - 1), part by part (see `_neighbours`)."""
+    flat = _flat(out)
+    for index, plus, minus in parts:
+        op(plus, minus, out=(flat if isinstance(index, slice) else out)[index])
+
+
 def slab_stencil(f: np.ndarray, planes: slice, lane: Lane, s: float, lap: np.ndarray, grad=None):
     """7-point Laplacian of f on the axis-0 `planes` into lap, and the centered gradient into grad.
 
-    s is the grid spacing. The neighbours are read from the lane's
-    wrap-padded copy of the slab (edges and corners of the pad are never
-    read). The float operations and their order are those of
-    operators.laplacian and operators.gradient, so the results are bitwise
-    equal to theirs.
+    s is the grid spacing. The neighbour sums and differences are read from
+    f at flat offsets, with no padded copy (`_neighbours`); lap and each
+    grad[ax] must be C-contiguous, else this raises. The float operations and
+    their order are those of operators.laplacian and operators.gradient, so
+    the results are bitwise equal to theirs.
     """
-    p = planes.stop - planes.start
-    pad, pair = lane.pad[: p + 2], lane.scratch[0, :p]
-    c = slice(1, -1)
-    fs = f[planes]
-    pad[c, c, c] = fs
-    pad[0, c, c], pad[-1, c, c] = f[planes.start - 1], f[planes.stop % f.shape[0]]
-    pad[c, 0, c], pad[c, -1, c] = fs[:, -1], fs[:, 0]
-    pad[c, c, 0], pad[c, c, -1] = fs[:, :, -1], fs[:, :, 0]
-    neighbours = (
-        (pad[2:, c, c], pad[:-2, c, c]),
-        (pad[c, 2:, c], pad[c, :-2, c]),
-        (pad[c, c, 2:], pad[c, c, :-2]),
-    )
-    np.multiply(fs, -6.0, out=lap)
+    _flat(lap)  # raises unless lap is C-contiguous
+    f = np.ascontiguousarray(f)
+    pair = lane.scratch[0, : planes.stop - planes.start]
+    np.multiply(f[planes], -6.0, out=lap)
     inv2 = 0.5 / s
-    for ax, (plus, minus) in enumerate(neighbours):
+    for ax, parts in enumerate(_neighbours(f, planes)):
         if grad is not None:
-            np.subtract(plus, minus, out=grad[ax])
+            _apply(np.subtract, parts, grad[ax])
             grad[ax] *= inv2
-        lap += np.add(plus, minus, out=pair)
+        _apply(np.add, parts, pair)
+        lap += pair
     lap /= s**2
 
 
@@ -317,11 +396,12 @@ def derive_state(phi1, phi2, t: float, w: WeightField) -> StepState:
     One fused pass over the workspace's slabs, shared out among its lanes;
     each slab's gradients live only in its lane's scratch. The float
     operations and their order are those of operators.flow_rhs, so every
-    output is bitwise equal to the reference.
+    output is bitwise equal to the reference. The seven derived fields come
+    from the workspace's `grid_array`, so they are the caller's to hold.
     """
     ws = w.slab_workspace
     s = w.grid.spacing
-    lap1, lap2, wtil, r1, r2, sq1, sq2 = (np.empty(phi1.shape) for _ in range(7))
+    lap1, lap2, wtil, r1, r2, sq1, sq2 = (ws.grid_array() for _ in range(7))
 
     def slab(sl, lane):
         p = sl.stop - sl.start
@@ -384,7 +464,9 @@ def step(
     """One IMEX step: explicit drift/source, implicit diffusion, re-pin.
 
     The two fields are updated independently, each on a lane of the weight's
-    slab workspace.
+    slab workspace, into arrays from its `grid_array`. The new state owns all
+    its arrays, and nothing of `state` is written, so a caller may hold any
+    earlier state.
     """
     grid = w.grid
     if euler_factor is None:
@@ -400,7 +482,7 @@ def step(
     # nonlinear source. Separate real transforms: packing both fields into one
     # complex FFT would leak ~1e-16 * |phi2| into phi1 and bury its clean decay
     ws = w.slab_workspace
-    phi1, phi2 = np.empty(grid.shape), np.empty(grid.shape)
+    phi1, phi2 = ws.grid_array(), ws.grid_array()
     finite1, finite2 = ws.map(
         lambda job, lane: _advance_field(*job, dt, euler_factor, ws.slabs, lane),
         [

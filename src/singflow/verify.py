@@ -504,8 +504,8 @@ def check_infrastructure(cfg: RunConfig, out_dir: str) -> list[dict]:
 
 
 def run_battery(cfg: RunConfig, out_dir: str) -> list[dict]:
-    verdicts: list[dict] = []
-    verdicts += check_operator_linearization(cfg)
+    verdicts = check_operator_linearization(cfg)  # builds the config's own grid first
+    os.makedirs(out_dir, exist_ok=True)  # so a config that build_problem rejects leaves no directory
     verdicts += check_galerkin_oracles(cfg)
     verdicts += check_energy_estimate(cfg)
 

@@ -58,7 +58,7 @@ class WeightField:
 
     @cached_property
     def slab_workspace(self):
-        """Scratch reused by the stepper's fused stencil kernels (`flow.SlabWorkspace`).
+        """Scratch and output arrays reused by the stepper's fused kernels (`flow.SlabWorkspace`).
 
         The cached fields those kernels read are built here too, on the
         calling thread, so the workspace's lanes only ever read them.

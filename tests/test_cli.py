@@ -373,6 +373,22 @@ class TestMainEntry:
         assert "radius 2 * spacing = 0.666667" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["run", "galerkin", "verify"])
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_rejected_grid_leaves_out_as_it_was(self, tmp_path, capsys, command, existed):
+        p = tmp_path / "coarse.cfg"
+        p.write_text("[grid]\nn = 3\n[flow]\nfamily = trig\nt_final = 2e-3\ndt = 1e-3\n")
+        out = tmp_path / "o"
+        if existed:
+            out.mkdir()
+            (out / "kept.txt").write_text("earlier output")
+        assert main([command, "--config", str(p), "--out", str(out)]) == 2
+        assert "every node lies within the exclusion ring" in capsys.readouterr().err
+        assert out.exists() == existed
+        if existed:
+            assert [f.name for f in out.iterdir()] == ["kept.txt"]
+            assert (out / "kept.txt").read_text() == "earlier output"
+
     @pytest.mark.parametrize(
         "edit, messages",
         [

@@ -367,6 +367,52 @@ class TestBitwiseAgainstOperators:
             assert np.array_equal(lap, laplacian(f, s))
         assert np.array_equal(st.wtil, weight_n.metric_weight(phi2))
 
+    @pytest.mark.parametrize(
+        "slab_nodes, sizes",
+        [(64, [1] * 8), (192, [3, 3, 2]), (flow.SLAB_NODES, [8])],
+        ids=["one_plane", "ragged", "one_slab"],
+    )
+    def test_every_slab_layout(self, monkeypatch, slab_nodes, sizes):
+        # the first and last slab hold the grid's wrap planes on axis 0
+        monkeypatch.setattr(flow, "SLAB_NODES", slab_nodes)
+        w = _weight(8)
+        ws = w.slab_workspace
+        assert [sl.stop - sl.start for sl in ws.slabs] == sizes
+        rng = np.random.default_rng(sum(sizes) + len(sizes))
+        phi1, phi2 = rng.standard_normal(w.grid.shape), 0.1 * rng.standard_normal(w.grid.shape)
+        s, lane = w.grid.spacing, ws.lanes[0]
+        for f in (phi1, phi2):
+            lap, lap_alone, grad = np.empty(f.shape), np.empty(f.shape), np.empty((3, *f.shape))
+            for sl in ws.slabs:
+                g = lane.grads[0, :, : sl.stop - sl.start]
+                slab_stencil(f, sl, lane, s, lap[sl], g)
+                grad[:, sl] = g
+                slab_stencil(f, sl, lane, s, lap_alone[sl])
+            assert np.array_equal(lap, laplacian(f, s))
+            assert np.array_equal(lap_alone, laplacian(f, s))
+            assert np.array_equal(grad, gradient(f, s))
+        st = derive_state(phi1, phi2, 0.0, w)
+        ref1, ref2 = flow_rhs(phi1, phi2, w)
+        ref1[w.rho.pinned] = 0.0
+        assert np.array_equal(st.dphi1_dt, ref1)
+        assert np.array_equal(st.dphi2_dt, ref2)
+        assert np.array_equal(st.lap1, laplacian(phi1, s))
+        g2 = gradient(phi2, s)
+        assert np.array_equal(st.grad2_sq, np.sum(g2 * g2, axis=0))
+
+    def test_a_non_contiguous_output_raises(self, w16):
+        f = np.random.default_rng(3).standard_normal(w16.grid.shape)
+        s, ws = w16.grid.spacing, w16.slab_workspace
+        (sl,), lane = ws.slabs, ws.lanes[0]
+        lap = np.empty(f.shape)
+        slab_stencil(np.asfortranarray(f), sl, lane, s, lap)  # any input layout is read
+        assert np.array_equal(lap, laplacian(f, s))
+        strided = np.empty((16, 16, 32))[:, :, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            slab_stencil(f, sl, lane, s, strided)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            slab_stencil(f, sl, lane, s, lap, np.empty((3, 16, 16, 16), order="F"))
+
     @pytest.mark.parametrize("n", [8, 15, 16, 32, 48, 64])
     def test_heat_solve_matches_reference(self, n):
         # the odd n checks the length the last inverse transform is given
@@ -486,6 +532,86 @@ class TestMarch:
             expected.append(acc.worst)
         got = [v["measured"] for v in check_bochner(cfg)[:2]]
         assert got == expected
+
+
+class TestStepBuffers:
+    """`step` and `derive_state` take their outputs from the workspace's `grid_array`.
+
+    An array is handed out again only once nothing outside the workspace
+    references it, so whatever a caller holds keeps its bits.
+    """
+
+    @staticmethod
+    def _fields(st):
+        return {f.name: np.copy(getattr(st, f.name)) for f in dataclasses.fields(StepState)}
+
+    def _assert_kept(self, st, before):
+        for name, field in self._fields(st).items():
+            assert np.array_equal(field, before[name]), name
+
+    def test_a_held_state_and_a_view_keep_their_bits(self, w16):
+        w = dataclasses.replace(w16)
+        st = step(init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w), w, 1e-4)
+        held, before = st, self._fields(st)
+        dropped = step(st, w, 1e-4)
+        view, view_before = dropped.dphi2_dt[3:9, ::2], dropped.dphi2_dt[3:9, ::2].copy()
+        del dropped  # only the view keeps its array
+        for _ in range(50):
+            st = step(st, w, 1e-4)
+        self._assert_kept(held, before)
+        assert np.array_equal(view, view_before)
+
+    def test_march_writes_neither_state0_nor_a_state_it_returned(self, w16):
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        before0 = self._fields(st0)
+        final = march(st0, w, dt=1e-4, t_final=2e-3)
+        before_final = self._fields(final)
+        march(st0, w, dt=1e-4, t_final=2e-3)
+        march(final, w, dt=1e-4, t_final=2e-3)
+        self._assert_kept(st0, before0)
+        self._assert_kept(final, before_final)
+
+    def test_the_arrays_stay_bounded_over_200_steps(self, w16):
+        w = dataclasses.replace(w16)
+        ws = w.slab_workspace
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        traj = run(st0, w, dt=1e-4, t_final=2e-2, snapshot_interval=2e-2)
+        assert len(traj.series["t"]) == 201
+        kept = len(ws._arrays)
+        assert kept <= flow.SlabWorkspace.MAX_ARRAYS
+        final = march(st0, w, dt=1e-4, t_final=2e-2)
+        assert len(ws._arrays) == kept  # 1,800 more outputs, no more arrays
+        pooled = {id(a) for a in ws._arrays}
+        assert all(id(getattr(final, name)) in pooled for name in self._fields(final) if name != "t")
+
+    def test_an_array_is_reused_once_dropped_and_never_while_held(self, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)  # a worker to hold one
+        ws = flow.SlabWorkspace((8, 8, 8))
+        address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
+
+        def handed_out():
+            return {address(ws.grid_array()) for _ in range(3)}
+
+        a = ws.grid_array()
+        addr = address(a)
+        view = a[2:, ::3]
+        assert addr not in handed_out()
+        del a
+        assert addr not in handed_out()  # the view holds it through its base
+        del view
+        assert address(ws.grid_array()) == addr  # dropped: handed out again
+
+        b = ws.grid_array()
+        addr = address(b)
+        release = threading.Event()
+        job = ws.submit(lambda held=b: release.wait(20) and float(held[0, 0, 0]) * 0.0)
+        del b  # the job on the worker still holds it
+        try:
+            assert addr not in handed_out()
+        finally:
+            release.set()
+        assert job.result(timeout=20) == 0.0
 
 
 def _weight(n):
