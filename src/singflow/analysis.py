@@ -285,12 +285,13 @@ def exponent_fit(
     return float(slope), float(np.sqrt(cov[0, 0]))
 
 
-def epsilon_regularity_scan(state: FlowState, w: WeightField, centers) -> list[dict]:
+def epsilon_regularity_scan(state: StepState, w: WeightField, centers) -> list[dict]:
     """Dyadic local-energy table per center, fitted slope, and sigma_x search.
 
     sigma runs dyadically down from L/8 to 2*spacing (the smallest resolvable
     ball). sigma_x is the smallest tabulated sigma with E_sigma at most
-    0.1 * E at the largest sigma.
+    0.1 * E at the largest sigma. The energy densities are built once, from
+    the state's derived fields.
     """
     grid = w.grid
     sigmas = []
@@ -302,15 +303,13 @@ def epsilon_regularity_scan(state: FlowState, w: WeightField, centers) -> list[d
     if len(sigmas) < 2:
         raise ValueError("fewer than two dyadic ball radii fit between 2*spacing and L/8")
 
+    grad_density = state.wtil * state.grad1_sq + state.grad2_sq
+    time_density = theta_field(state.wtil, state.dphi1_dt, state.dphi2_dt)
     out = []
     for center in centers:
-        E_vals = []
-        for sig in sigmas:
-            _, _, E = local_energy_E(
-                state.phi1, state.phi2, state.dphi1_dt, state.dphi2_dt, w, center, sig
-            )
-            E_vals.append(E)
-        E_vals = np.asarray(E_vals)
+        E_vals = np.asarray(
+            [local_energy_E(grad_density, time_density, grid, center, sig)[2] for sig in sigmas]
+        )
         if np.all(E_vals > 0):
             slope = float(
                 np.polyfit(np.log(sigmas), np.log(E_vals), 1)[0]

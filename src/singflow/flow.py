@@ -244,20 +244,12 @@ class SlabWorkspace:
                 self._arrays.append(a)
             return a
 
-    def _on_worker(self, fn, *args):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
-
-            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
-        # in a copy of this thread's context, so numpy's errstate holds on the worker too
-        return self._pool.submit(contextvars.copy_context().run, fn, *args)
-
     def map(self, work, items) -> list:
         """[work(item, lane) for item in items], each item handed out to whichever lane is free.
 
         This thread works through the items on the first lane while the worker
-        takes them on the second, so a busy worker never holds the result
-        back. Both lanes have stopped when this returns or raises.
+        takes them on the second, as one `submit` job, so a busy worker never
+        holds the result back. Both lanes have stopped when this returns or raises.
         """
         results = [None] * len(items)
         todo = enumerate(items)
@@ -274,7 +266,7 @@ class SlabWorkspace:
         if len(self.lanes) == 1:
             drain(self.lanes[0])
             return results
-        future = self._on_worker(drain, self.lanes[1])
+        future = self.submit(lambda: drain(self.lanes[1]))
         try:
             drain(self.lanes[0])
         except BaseException:
@@ -295,7 +287,12 @@ class SlabWorkspace:
         not call `map`: the lanes' scratch belongs to the calling thread.
         """
         if self._threaded:
-            return self._on_worker(job)
+            if self._pool is None:
+                from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
+
+                self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
+            # in a copy of this thread's context, so numpy's errstate holds on the worker too
+            return self._pool.submit(contextvars.copy_context().run, job)
         from concurrent.futures import Future
 
         done = Future()
@@ -547,13 +544,8 @@ def steady_residual(state: FlowState, w: WeightField) -> tuple[float, float]:
     solution satisfies the curve condition instead of the bulk equation.
     """
     derived = derive_state(state.phi1, state.phi2, state.t, w)
-    r1, r2 = derived.dphi1_dt, derived.dphi2_dt
-    rho = w.rho.rho
-    a = w.alpha
-    return (
-        float(np.max(rho ** (3.5 - a) * np.abs(r1))),
-        float(np.max(rho**3.5 * np.abs(r2))),
-    )
+    row = _series_row(derived, w, _series_constants(derived, w))
+    return row["residual1"], row["residual2"]
 
 
 def _series_constants(state0: FlowState, w: WeightField) -> dict:

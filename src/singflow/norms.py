@@ -17,7 +17,6 @@ import numpy as np
 
 from singflow.geometry import TorusGrid, wrap_delta
 from singflow.operators import gradient, grid_inner
-from singflow.weight import WeightField
 
 
 @dataclass
@@ -138,29 +137,22 @@ def ball_mask(grid: TorusGrid, center, sigma: float) -> np.ndarray:
 
 
 def local_energy_E(
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    dphi1_dt: np.ndarray,
-    dphi2_dt: np.ndarray,
-    w: WeightField,
+    grad_density: np.ndarray,
+    time_density: np.ndarray,
+    grid: TorusGrid,
     center,
     sigma: float,
 ) -> tuple[float, float, float]:
     """Scaled ball energies (f_sigma, g_sigma, E_sigma) about `center`:
 
-    f = sigma^-1 int_B (h^{-2a} e^{-2 phi2} |grad phi1|^2 + |grad phi2|^2)
-    g = sigma    int_B (h^{-2a} e^{-2 phi2} |dphi1|^2 + |dphi2|^2)
+    f = sigma^-1 int_B grad_density,  g = sigma int_B time_density,
+
+    for the densities h^{-2a} e^{-2 phi2} |grad phi1|^2 + |grad phi2|^2 and
+    h^{-2a} e^{-2 phi2} |dphi1|^2 + |dphi2|^2 (`theta_field`).
     """
-    grid = w.grid
     if sigma < 2.0 * grid.spacing:
         raise ValueError("sigma must be at least 2*spacing")
     mask = ball_mask(grid, center, sigma)
-    s = grid.spacing
-    wtil = w.metric_weight(phi2)
-    g1 = gradient(phi1, s)
-    g2 = gradient(phi2, s)
-    grad_density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
-    time_density = theta_field(wtil, dphi1_dt, dphi2_dt)
     f_sig = float(np.sum(grad_density[mask])) * grid.cell_volume / sigma
     g_sig = float(np.sum(time_density[mask])) * grid.cell_volume * sigma
     return f_sig, g_sig, f_sig + g_sig

@@ -5,7 +5,8 @@ tolerance}. The base config fixes the desk scale (grid, alpha, curve) and the
 standard nonlinear run; the battery derives the auxiliary runs from it:
 
 * standard run (from [flow]): uniform bounds, final-state exponent fits
-* theta run (phi1 = 0, trig data): decay rates and weighted-norm convergence.
+* theta run (phi1 = 0, trig data, steps of THETA_DT): decay rates and
+  weighted-norm convergence.
   With L = 1 the slowest stencil eigenvalue is ~39, so the squared-speed
   integral drops ~e^-160 per time unit squared; any run whose limit is not
   exactly zero bottoms out at the field round-off floor long before t = 5.
@@ -14,6 +15,9 @@ standard nonlinear run; the battery derives the auxiliary runs from it:
 * local-energy run (phi1 only): dyadic ball scans near the curve
 * refinement pair at (n, 2n) and (dt, dt/2): Bochner violation shrinkage
 * weight builds at n in {16, 32, 64}: harmonicity order and log-asymptotics
+
+Each run belongs to the check that makes it, so its trajectory and weight
+are freed when that check returns.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from singflow.analysis import (
     exponent_fit,
     theta_decay_check,
 )
-from singflow.config import RunConfig, build_problem
+from singflow.config import ConfigError, RunConfig, build_problem, whole_steps
 from singflow.flow import init_state, initial_fields, march, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
@@ -45,6 +49,9 @@ from singflow.spectral import (
     weak_residual,
 )
 from singflow.weight import harmonicity_residual, log_asymptotics_shell
+
+# the theta run's fixed step; [flow] t_final must be a whole multiple of it
+THETA_DT = 1e-3
 
 
 def verdict(name: str, passed: bool, measured: float, reference: float, tolerance: float) -> dict:
@@ -95,22 +102,6 @@ def check_operator_linearization(cfg: RunConfig) -> list[dict]:
         orders.append(float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0]))
     measured = max(abs(o - 1.0) for o in orders)
     return [verdict("operator_gateaux_order", measured <= 0.2, measured, 0.0, 0.2)]
-
-
-def _galerkin_setup(cfg: RunConfig, N: int, dt: float, T: float):
-    """Galerkin system of the oracle checks on the config's grid and weight.
-
-    The battery's oracle runs at N = 4, dt = 2e-4 and T = 0.3, fixed by its
-    caller and independent of the config's [galerkin] section.
-    """
-    w = build_problem(cfg)
-    grid = w.grid
-    phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
-    _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
-    f1, f2 = galerkin_forcing("trig_damped", grid, w.rho)
-    times = np.arange(0.0, T + 1e-12, dt)
-    system = assemble_galerkin(phi0_1, phi0_2, w, basis=build_basis(grid, N), f1=f1, f2=f2, times=times)
-    return system, f1, f2
 
 
 def _brute_force_matrices(system):
@@ -204,8 +195,15 @@ def _rk4_reference(system, T, dt):
 
 
 def check_galerkin_oracles(cfg: RunConfig) -> list[dict]:
-    dt, T = 2e-4, 0.3
-    system, f1, f2 = _galerkin_setup(cfg, N=4, dt=dt, T=T)
+    dt, T = 2e-4, 0.3  # with N = 4: fixed, independent of the config's [galerkin] section
+    w = build_problem(cfg)
+    phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
+    _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
+    f1, f2 = galerkin_forcing("trig_damped", w.grid, w.rho)
+    times = np.arange(0.0, T + 1e-12, dt)
+    system = assemble_galerkin(
+        phi0_1, phi0_2, w, basis=build_basis(w.grid, 4), f1=f1, f2=f2, times=times
+    )
     A, B, C, D = _brute_force_matrices(system)
     diff = max(
         float(np.max(np.abs(system.A - A))),
@@ -292,22 +290,30 @@ def check_energy_estimate(cfg: RunConfig) -> list[dict]:
     return [verdict("energy_estimate_spread", spread < 2.0, spread, 2.0, 0.0)]
 
 
-def _standard_run(cfg: RunConfig):
+def check_standard_run(cfg: RunConfig) -> list[dict]:
+    """The standard run of [flow]: its uniform bounds, then its final-state exponent fits."""
     w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
     traj = run(
         state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval
     )
-    return traj, w
+    out = [
+        verdict(rep.name, rep.passed, rep.left, rep.right, rep.tolerance)
+        for rep in check_max_principle(traj, w)
+    ]
 
-
-def check_max_principle_battery(traj, w) -> list[dict]:
-    out = []
-    for rep in check_max_principle(traj, w):
-        out.append(
-            verdict(rep.name, rep.passed, rep.left, rep.right, rep.tolerance)
-        )
-    return out
+    final = traj.final
+    shell = (cfg.shell_lo, cfg.shell_hi)
+    slope1, err1 = exponent_fit(np.abs(final.phi1), w.rho, shell)
+    ref1 = 2.0 * cfg.alpha - 0.5
+    g2 = gradient(final.phi2, w.grid.spacing)
+    mag = np.sqrt(np.sum(g2 * g2, axis=0))
+    slope2, err2 = exponent_fit(mag, w.rho, shell)
+    ref2 = -1.0 + 0.1
+    return out + [
+        verdict("phi1_vanishing_slope", slope1 >= ref1, slope1, ref1, err1),
+        verdict("grad_phi2_slope", slope2 >= ref2, slope2, ref2, err2),
+    ]
 
 
 def check_bochner(cfg: RunConfig) -> list[dict]:
@@ -346,17 +352,6 @@ def check_bochner(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def _theta_run(cfg: RunConfig):
-    # phi1 = 0 is an exact solution branch: the system reduces to the heat
-    # equation, whose pure decay stays representable over the [1, 5] window
-    w = build_problem(cfg)
-    state0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
-    traj = run(
-        state0, w, dt=1e-3, t_final=cfg.t_final, snapshot_interval=0.1, conserve_phi2_mean=True
-    )
-    return traj, w
-
-
 def _fit_verdicts(name: str, fit) -> list[dict]:
     """The `{name}_rate` and `{name}_r2` verdicts of a decay fit's two criteria."""
     return [
@@ -365,41 +360,33 @@ def _fit_verdicts(name: str, fit) -> list[dict]:
     ]
 
 
-def check_theta_decay(traj, w, cfg: RunConfig) -> list[dict]:
+def check_theta_run(cfg: RunConfig) -> list[dict]:
+    """The theta run to [flow] t_final in steps of THETA_DT: its decay, then its convergence.
+
+    phi1 = 0 is an exact solution branch: the system reduces to the heat
+    equation, whose pure decay stays representable over the [1, 5] window.
+    """
+    w = build_problem(cfg)
+    state0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
+    traj = run(
+        state0, w, dt=THETA_DT, t_final=cfg.t_final, snapshot_interval=0.1, conserve_phi2_mean=True
+    )
     window = (cfg.fit_window_start, cfg.fit_window_end)
-    out = theta_decay_check(traj, w, window, rate_slack=cfg.rate_slack, r2_min=cfg.r2_min)
-    verdicts = [
-        verdict("theta_l2_monotone", out["monotone"], out["max_step_increase"], 0.0, 1e-10)
+    decay = theta_decay_check(traj, w, window, rate_slack=cfg.rate_slack, r2_min=cfg.r2_min)
+    out = [
+        verdict("theta_l2_monotone", decay["monotone"], decay["max_step_increase"], 0.0, 1e-10)
     ]
-    for fit in out["fits"]:
-        verdicts += _fit_verdicts(fit.quantity, fit)
-    return verdicts
+    for fit in decay["fits"]:
+        out += _fit_verdicts(fit.quantity, fit)
 
-
-def check_convergence(traj, w, cfg: RunConfig) -> list[dict]:
     rep = convergence_report(
         traj, w, window=(1.0, traj.final.t / 2.0), rate_slack=cfg.rate_slack, r2_min=cfg.r2_min
     )
     res1, res2 = rep["steady_residual"]
     res_sum = res1 + res2
     ref = 10.0 * traj.column("weighted_dt_sup")[-1]
-    return _fit_verdicts("cstar2_convergence", rep["fit"]) + [
+    return out + _fit_verdicts("cstar2_convergence", rep["fit"]) + [
         verdict("steady_residual_vs_theta", res_sum <= ref, res_sum, ref, 0.0),
-    ]
-
-
-def check_exponents(traj, w, cfg: RunConfig) -> list[dict]:
-    final = traj.final
-    shell = (cfg.shell_lo, cfg.shell_hi)
-    slope1, err1 = exponent_fit(np.abs(final.phi1), w.rho, shell)
-    ref1 = 2.0 * cfg.alpha - 0.5
-    g2 = gradient(final.phi2, w.grid.spacing)
-    mag = np.sqrt(np.sum(g2 * g2, axis=0))
-    slope2, err2 = exponent_fit(mag, w.rho, shell)
-    ref2 = -1.0 + 0.1
-    return [
-        verdict("phi1_vanishing_slope", slope1 >= ref1, slope1, ref1, err1),
-        verdict("grad_phi2_slope", slope2 >= ref2, slope2, ref2, err2),
     ]
 
 
@@ -504,21 +491,18 @@ def check_infrastructure(cfg: RunConfig, out_dir: str) -> list[dict]:
 
 
 def run_battery(cfg: RunConfig, out_dir: str) -> list[dict]:
+    if whole_steps(cfg.t_final, THETA_DT) is None:  # else the theta run would end early
+        raise ConfigError([
+            f"[flow] t_final = {cfg.t_final}: the battery's theta run needs a whole multiple "
+            f"of its dt = {THETA_DT} (t_final/dt = {cfg.t_final / THETA_DT:.6g})"
+        ])
     verdicts = check_operator_linearization(cfg)  # builds the config's own grid first
     os.makedirs(out_dir, exist_ok=True)  # so a config that build_problem rejects leaves no directory
     verdicts += check_galerkin_oracles(cfg)
     verdicts += check_energy_estimate(cfg)
-
-    traj_std, w_std = _standard_run(cfg)
-    verdicts += check_max_principle_battery(traj_std, w_std)
-    verdicts += check_exponents(traj_std, w_std, cfg)
-
+    verdicts += check_standard_run(cfg)
     verdicts += check_bochner(cfg)
-
-    traj_theta, w_theta = _theta_run(cfg)
-    verdicts += check_theta_decay(traj_theta, w_theta, cfg)
-    verdicts += check_convergence(traj_theta, w_theta, cfg)
-
+    verdicts += check_theta_run(cfg)
     verdicts += check_epsilon_regularity(cfg)
     verdicts += check_weight_construction(cfg)
     verdicts += check_infrastructure(cfg, out_dir)

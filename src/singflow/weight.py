@@ -86,33 +86,17 @@ def weight_power(w: WeightField, p: float) -> np.ndarray:
     return np.exp(p * w.log_h)
 
 
-def spectral_symbol(grid: TorusGrid) -> np.ndarray:
-    """Continuum symbol of -Lap on the rfftn layout: 4 pi^2 |k|^2 / L^2."""
-    from singflow.operators import rfft_wavevectors
-
-    k1, k2, k3 = rfft_wavevectors(grid)
-    return (2.0 * np.pi / grid.length) ** 2 * (k1**2 + k2**2 + k3**2)
-
-
-def poisson_solve_mean_zero(grid: TorusGrid, rhs: np.ndarray) -> np.ndarray:
-    """Solve -Lap u = rhs spectrally; rhs is projected to mean zero, u has mean zero."""
-    sym = spectral_symbol(grid)
-    rhs_hat = np.fft.rfftn(rhs)
-    rhs_hat[0, 0, 0] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_hat = np.where(sym > 0, rhs_hat / sym, 0.0)
-    return np.fft.irfftn(u_hat, s=grid.shape, axes=(0, 1, 2))
-
-
 def solve_u(
     grid: TorusGrid, rho: np.ndarray, source_mask: np.ndarray, tol: float = 1e-10
 ) -> np.ndarray:
     """Zero-mean u with -Lap u = Lap(log rho) restricted to the source mask.
 
     rho must be clamped positive. An all-True mask uses the full discrete
-    source (appropriate for manufactured smooth rho without a curve).
+    source (appropriate for manufactured smooth rho without a curve). The
+    inverse is spectral, with the continuum symbol 4 pi^2 |k|^2 / L^2 of -Lap
+    on the rfftn layout; the masked source is projected to mean zero.
     """
-    from singflow.operators import laplacian
+    from singflow.operators import laplacian, rfft_wavevectors
 
     if np.any(rho <= 0):
         raise ValueError("rho must be positive (clamp before solving)")
@@ -131,13 +115,16 @@ def solve_u(
     rhs = np.where(source_mask, rhs, 0.0)
     rhs = rhs - rhs.mean()
 
-    u = poisson_solve_mean_zero(grid, rhs)
+    k1, k2, k3 = rfft_wavevectors(grid)
+    sym = (2.0 * np.pi / grid.length) ** 2 * (k1**2 + k2**2 + k3**2)
+    rhs_hat = np.fft.rfftn(rhs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the k = 0 mode is set to zero
+        u = np.fft.irfftn(np.where(sym > 0, rhs_hat / sym, 0.0), s=grid.shape, axes=(0, 1, 2))
     u -= u.mean()
 
-    sym = spectral_symbol(grid)
-    resid_hat = sym * np.fft.rfftn(u) - np.fft.rfftn(rhs)
+    resid_hat = sym * np.fft.rfftn(u) - rhs_hat
     resid_hat[0, 0, 0] = 0.0
-    resid = np.linalg.norm(resid_hat) / max(np.linalg.norm(np.fft.rfftn(rhs)), 1e-300)
+    resid = np.linalg.norm(resid_hat) / max(np.linalg.norm(rhs_hat), 1e-300)
     if rhs_norm > 0 and resid > tol:
         raise RuntimeError(f"Poisson solve residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return u

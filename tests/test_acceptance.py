@@ -100,6 +100,38 @@ def test_all_checks_present(battery):
     assert sorted(battery["names"]) == sorted(expected)
 
 
+def test_verdict_order(battery):
+    # verdicts.json lists the checks in the battery's phase order, and its bytes depend on it
+    assert battery["names"] == [
+        "operator_gateaux_order",
+        "galerkin_matrix_oracle",
+        "galerkin_ode_vs_rk4",
+        "galerkin_weak_residual",
+        "energy_estimate_spread",
+        "hyperbolic_distance_bound",
+        "phi2_uniform_bound",
+        "phi1_vanishing_slope",
+        "grad_phi2_slope",
+        "bochner_violation",
+        "bochner_violation_refined",
+        "bochner_bound_shrink",
+        "theta_l2_monotone",
+        "theta_l2_integral_rate",
+        "theta_l2_integral_r2",
+        "weighted_dt_sup_rate",
+        "weighted_dt_sup_r2",
+        "cstar2_convergence_rate",
+        "cstar2_convergence_r2",
+        "steady_residual_vs_theta",
+        "local_energy_slope_final",
+        "local_energy_sigma_x",
+        "weight_residual_order",
+        "weight_log_asymptotics",
+        "snapshot_roundtrip_bytes",
+        "pipeline_determinism",
+    ]
+
+
 def test_cmd_verify_exit_code_zero(battery):
     print(f"ACCEPTANCE 11b_cmd_verify_exit: {'PASS' if battery['exit_code'] == 0 else 'FAIL'}")
     assert battery["exit_code"] == 0

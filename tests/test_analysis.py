@@ -236,9 +236,35 @@ class TestEpsilonRegularity:
             assert rec["slope"] > 3.3
             assert rec["sigma_x"] is not None
         traj = run(st, w32, dt=1e-4, t_final=0.01, snapshot_interval=0.01)
-        outT = epsilon_regularity_scan(traj.final, w32, centers=centers)
+        final = traj.final  # a plain snapshot record: derive its fields to scan it
+        final = derive_state(final.phi1, final.phi2, final.t, w32)
+        outT = epsilon_regularity_scan(final, w32, centers=centers)
         for rec in outT:
             assert rec["slope"] > 0
+
+    def test_table_matches_densities_from_the_fields(self, w32):
+        # the scan reads the state's derived fields; the table is the one the
+        # densities rebuilt from phi1, phi2 and the time derivatives give, bit for bit
+        from singflow.norms import ball_mask, theta_field
+        from singflow.operators import gradient
+
+        st0 = init_state("poly_cutoff+trig", {"c": 0.05, "a": 0.1, "b": 0.05}, w32)
+        centers = [(0.515, 0.515, 0.25), (0.485, 0.515, 0.75), (0.2, 0.7, 0.4)]
+        grid, s = w32.grid, w32.grid.spacing
+        for st in (st0, march(st0, w32, dt=1e-4, t_final=2e-3)):
+            wtil = w32.metric_weight(st.phi2)
+            g1, g2 = gradient(st.phi1, s), gradient(st.phi2, s)
+            grad_density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
+            time_density = theta_field(wtil, st.dphi1_dt, st.dphi2_dt)
+            for center, rec in zip(centers, epsilon_regularity_scan(st, w32, centers), strict=True):
+                expected = []
+                for sigma in rec["sigmas"]:
+                    mask = ball_mask(grid, center, sigma)
+                    f = float(np.sum(grad_density[mask])) * grid.cell_volume / sigma
+                    g = float(np.sum(time_density[mask])) * grid.cell_volume * sigma
+                    expected.append(f + g)
+                assert rec["E"] == expected
+                assert all(e > 0 for e in expected)
 
 
 class TestConvergenceReport:

@@ -155,15 +155,24 @@ class TestHyperbolicDistance:
         assert np.all(d >= np.abs(phi2 - phi2_0) - 1e-12)
 
 
+def _grad_density(w, phi1, phi2):
+    """wtil |grad phi1|^2 + |grad phi2|^2, the density f_sigma integrates."""
+    from singflow.operators import gradient
+
+    g1 = gradient(phi1, w.grid.spacing)
+    g2 = gradient(phi2, w.grid.spacing)
+    return w.metric_weight(phi2) * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
+
+
 class TestLocalEnergy:
     def test_zero_state(self, w16):
         z = np.zeros(w16.grid.shape)
-        assert local_energy_E(z, z, z, z, w16, (0.1, 0.2, 0.3), 0.25) == (0.0, 0.0, 0.0)
+        assert local_energy_E(z, z, w16.grid, (0.1, 0.2, 0.3), 0.25) == (0.0, 0.0, 0.0)
 
     def test_sigma_resolution_guard(self, w16):
         z = np.zeros(w16.grid.shape)
         with pytest.raises(ValueError):
-            local_energy_E(z, z, z, z, w16, (0.1, 0.2, 0.3), w16.grid.spacing)
+            local_energy_E(z, z, w16.grid, (0.1, 0.2, 0.3), w16.grid.spacing)
 
     def test_matches_direct_quadrature(self, w16):
         grid = w16.grid
@@ -172,17 +181,13 @@ class TestLocalEnergy:
         z = np.zeros(grid.shape)
         center = (0.3, 0.55, 0.7)
         sigma = 0.25
-        f_sig, g_sig, E_sig = local_energy_E(z, phi2, z, z, w16, center, sigma)
+        density = _grad_density(w16, z, phi2)
+        time_density = theta_field(w16.metric_weight(phi2), z, z)
+        f_sig, g_sig, E_sig = local_energy_E(density, time_density, grid, center, sigma)
         assert g_sig == 0.0
+        assert E_sig == f_sig
 
-        # oracle: explicit loop with fsum accumulation
-        from singflow.operators import gradient
-        from singflow.weight import weight_power
-
-        g2 = gradient(phi2, grid.spacing)
-        wtil = weight_power(w16, -2 * w16.alpha) * np.exp(-2 * phi2)
-        g1 = gradient(z, grid.spacing)
-        density = wtil * np.sum(g1 * g1, axis=0) + np.sum(g2 * g2, axis=0)
+        # oracle: explicit loop over the ball with fsum accumulation
         terms = []
         ax = grid.axis
         for i in range(grid.n):
@@ -199,11 +204,12 @@ class TestLocalEnergy:
         x1 = np.broadcast_to(grid.coords[0], grid.shape)
         phi2 = 0.3 * np.sin(2 * np.pi * x1).copy()
         z = np.zeros(grid.shape)
+        density = _grad_density(w16, z, phi2)
         center = (0.52, 0.52, 0.5)
         total = 0.0
         sigma = 0.25
         while sigma >= 2 * grid.spacing:
-            _, _, E = local_energy_E(z, phi2, z, z, w16, center, sigma)
+            _, _, E = local_energy_E(density, z, grid, center, sigma)
             total += E / sigma * (sigma / 2)
             sigma /= 2
         assert np.isfinite(total) and total >= 0.0

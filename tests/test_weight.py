@@ -98,6 +98,32 @@ class TestSolveU:
         with pytest.raises(ValueError):
             solve_u(grid, bad, full_mask(grid))
 
+    def test_residual_above_tolerance_raises(self):
+        grid = TorusGrid(16, 1.0)
+        rho = distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5))
+        solve_u(grid, rho.rho, rho.smooth_mask, tol=1e-10)
+        with pytest.raises(RuntimeError, match="exceeds tolerance 1.000e-300"):
+            solve_u(grid, rho.rho, rho.smooth_mask, tol=1e-300)  # round-off alone exceeds it
+
+    def test_matches_the_plain_spectral_solve(self):
+        # the masked source's transform, divided by 4 pi^2 |k|^2 / L^2 off the
+        # k = 0 mode and transformed back, then put to mean zero, bit for bit
+        from singflow.operators import rfft_wavevectors
+
+        grid = TorusGrid(16, 1.0)
+        rho = distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5))
+        rhs = np.where(rho.smooth_mask, laplacian(np.log(rho.rho), grid.spacing), 0.0)
+        rhs = rhs - rhs.mean()
+        k1, k2, k3 = rfft_wavevectors(grid)
+        sym = (2.0 * np.pi / grid.length) ** 2 * (k1**2 + k2**2 + k3**2)
+        rhs_hat = np.fft.rfftn(rhs)
+        rhs_hat[0, 0, 0] = 0.0
+        u_hat = np.zeros_like(rhs_hat)
+        u_hat[sym > 0] = rhs_hat[sym > 0] / sym[sym > 0]
+        u = np.fft.irfftn(u_hat, s=grid.shape, axes=(0, 1, 2))
+        u -= u.mean()
+        assert np.array_equal(solve_u(grid, rho.rho, rho.smooth_mask), u)
+
 
 class TestAssembleWeight:
     def test_zero_u_gives_h_equals_rho(self):
