@@ -166,9 +166,10 @@ def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float,
 SLAB_NODES = 32768
 
 # Threads of a workspace: the calling thread and, with two, one worker. Read
-# once from the CPUs this process may use. The worker takes every slab hand-out's
-# second lane on a grid of more than one slab, and the diagnostics row of `run`
-# on any grid; splitting a grid of one slab cost more than it saved.
+# once from the CPUs this process may use. The worker takes the second lane of
+# every hand-out of two or more items (a step's two field updates, the slabs
+# of a grid of more than one slab) and the diagnostics row of `run`; a grid of
+# one slab is not split, since that cost more than it saved.
 LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -202,12 +203,12 @@ class SlabWorkspace:
     """Slabs, lanes and output arrays of the fused kernels; reach it through `WeightField.slab_workspace`.
 
     `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
-    `Lane` per thread that runs them: `LANES` on a grid of more than one slab,
-    else one. With `LANES == 2` the workspace has one worker thread, on a
-    one-thread pool made on first use: it runs the second lane of `map` and
-    the jobs of `submit`, on a grid of any size. Each lane writes only to its
-    own scratch and to buffers the caller owns, so the outputs are the same for
-    any number of lanes. The worker ends when the workspace is dropped.
+    `Lane` per thread that runs them, `LANES` on a grid of any size. With
+    `LANES == 2` the workspace has one worker thread, on a one-thread pool
+    made on first use: it runs the second lane of `map` and the jobs of
+    `submit`. Each lane writes only to its own scratch and to buffers the
+    caller owns, so the outputs are the same for any number of lanes. The
+    worker ends when the workspace is dropped.
 
     `grid_array` hands out the grid-sized outputs of `step` and `derive_state`.
     It keeps up to `MAX_ARRAYS` of them and hands one out again only once
@@ -226,8 +227,7 @@ class SlabWorkspace:
         n0, n1, n2 = shape
         planes = min(n0, max(1, SLAB_NODES // (n1 * n2)))
         self.slabs = [slice(i, min(i + planes, n0)) for i in range(0, n0, planes)]
-        self.lanes = [Lane(planes, shape) for _ in range(LANES if len(self.slabs) > 1 else 1)]
-        self._threaded = LANES > 1
+        self.lanes = [Lane(planes, shape) for _ in range(LANES)]
         self._pool = None
         self._shape = tuple(shape)
         self._arrays = []  # the grid arrays handed out, each reusable once only this list holds it
@@ -249,8 +249,11 @@ class SlabWorkspace:
 
         This thread works through the items on the first lane while the worker
         takes them on the second, as one `submit` job, so a busy worker never
-        holds the result back. Both lanes have stopped when this returns or raises.
+        holds the result back. A single item stays on this thread, with no job
+        for the worker. Both lanes have stopped when this returns or raises.
         """
+        if len(items) < 2 or len(self.lanes) == 1:
+            return [work(item, self.lanes[0]) for item in items]
         results = [None] * len(items)
         todo = enumerate(items)
         lock = threading.Lock()
@@ -263,9 +266,6 @@ class SlabWorkspace:
                     return
                 results[i] = work(item, lane)
 
-        if len(self.lanes) == 1:
-            drain(self.lanes[0])
-            return results
         future = self.submit(lambda: drain(self.lanes[1]))
         try:
             drain(self.lanes[0])
@@ -286,7 +286,7 @@ class SlabWorkspace:
         future before it raises or lets go of what the job reads. A job must
         not call `map`: the lanes' scratch belongs to the calling thread.
         """
-        if self._threaded:
+        if len(self.lanes) > 1:
             if self._pool is None:
                 from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
 
@@ -457,12 +457,16 @@ def step(
     dt: float,
     euler_factor: np.ndarray | None = None,
     step_index: int = 0,
+    fields_callback=None,
 ) -> StepState:
     """One IMEX step: explicit drift/source, implicit diffusion, re-pin.
 
     The two fields are updated independently, each on a lane of the weight's
-    slab workspace, into arrays from its `grid_array`. The new state owns all
-    its arrays, and nothing of `state` is written, so a caller may hold any
+    slab workspace (with two lanes, this thread takes one and the worker the
+    other), into arrays from its `grid_array`; `derive_state` then builds the
+    new state from them. fields_callback(state), when given, runs between the
+    two, once both new fields are in and finite. The new state owns all its
+    arrays, and nothing of `state` is written, so a caller may hold any
     earlier state.
     """
     grid = w.grid
@@ -498,6 +502,8 @@ def step(
             float(np.max(np.sqrt(np.sum(v * v, axis=0)))),
         )
 
+    if fields_callback is not None:
+        fields_callback(state)
     return derive_state(phi1, phi2, state.t + dt, w)
 
 
@@ -611,20 +617,30 @@ def _series_row(state: StepState, w: WeightField, pre: dict):
 
 
 def march(
-    state0: FlowState, w: WeightField, dt: float, t_final: float, step_callback=None
+    state0: FlowState,
+    w: WeightField,
+    dt: float,
+    t_final: float,
+    step_callback=None,
+    fields_callback=None,
 ) -> StepState:
     """Take round(t_final / dt) steps from state0 and return the final state.
 
     step_callback(state), when given, runs on the initial state and after
     every step; streaming consumers (local-in-time diagnostics) hook in here
     without the memory cost of dense snapshots or the per-step series row.
+    fields_callback(state), when given, runs inside every step on the state
+    it steps from, once the new fields are in and before they are derived
+    (see `step`): the one point of a step where the worker lane is idle.
     """
     factor = implicit_euler_factor(w.grid, dt)
     state = state0
     if step_callback is not None:
         step_callback(state)
     for i in range(1, int(round(t_final / dt)) + 1):
-        state = step(state, w, dt, euler_factor=factor, step_index=i)
+        state = step(
+            state, w, dt, euler_factor=factor, step_index=i, fields_callback=fields_callback
+        )
         if step_callback is not None:
             step_callback(state)
     return state
@@ -643,13 +659,16 @@ def run(
     Streaming consumers that need no series row hook into `march` instead.
 
     Each state's diagnostics row is handed to the weight's slab-workspace
-    worker (`SlabWorkspace.submit`) while this thread takes the next step.
-    The row of state k is collected before the row of state k + 1 is handed
-    out, so one row is in flight at a time and the series keeps step order;
-    the row is a pure function of its state, so the series is the same as a
-    serial one. The snapshot copy and the mean shift are made on this thread
-    before the handoff. The worker has finished its row before this returns
-    or raises; a row's error is raised here.
+    worker (`SlabWorkspace.submit`). The row of state k goes out inside step
+    k + 1, once its two field updates are in (the worker has just done one of
+    them), and runs beside that step's `derive_state`; it is collected after
+    that, before step k + 2's field updates start. So one row is in flight at
+    a time and the series keeps step order; the row is a pure function of its
+    state, so the series is the same as a serial one. The mean shift and the
+    snapshot copy of state k are made on this thread before step k + 1. The
+    worker has finished its row before this returns or raises; a row's error
+    is raised here. A step that blows up raises before the row of the state
+    it stepped from goes out.
 
     conserve_phi2_mean holds the phi2 mean at exactly zero (initial state
     included). With phi1 = 0 and zero-mean data the discrete flow conserves
@@ -676,14 +695,17 @@ def run(
     snapshots: list[FlowState] = []
     counter = itertools.count()
     ws = w.slab_workspace
-    row = None  # the future of the last state's row
+    row = None  # the future of the last row handed out
+
+    def hand_out_row(state):
+        nonlocal row
+        row = ws.submit(lambda: _series_row(state, w, pre))
 
     def collect_row():
         for key, val in row.result().items():
             series.setdefault(key, []).append(val)
 
     def on_state(state):
-        nonlocal row
         i = next(counter)
         if conserve_phi2_mean and i > 0:
             # constant shift: the derived gradient norms and Laplacians stay
@@ -692,15 +714,17 @@ def run(
             phi2 -= float(phi2.mean())
         if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
-        if row is not None:
-            collect_row()
-        row = ws.submit(lambda: _series_row(state, w, pre))
+        if i > 0:
+            collect_row()  # the previous state's, handed out inside this step
 
     try:
-        march(state0, w, dt, t_final, step_callback=on_state)
+        final = march(
+            state0, w, dt, t_final, step_callback=on_state, fields_callback=hand_out_row
+        )
+        hand_out_row(final)
+        collect_row()
     except BaseException:
         if row is not None and not row.cancel():
             row.exception()  # waits: the worker still reads a state of this run
         raise
-    collect_row()
     return Trajectory(series=series, snapshots=snapshots)

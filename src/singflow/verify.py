@@ -36,7 +36,7 @@ from singflow.analysis import (
     exponent_fit,
     theta_decay_check,
 )
-from singflow.config import ConfigError, RunConfig, build_problem, whole_steps
+from singflow.config import MAX_STEPS, ConfigError, RunConfig, build_problem, whole_steps
 from singflow.flow import init_state, initial_fields, march, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.spectral import (
@@ -491,10 +491,16 @@ def check_infrastructure(cfg: RunConfig, out_dir: str) -> list[dict]:
 
 
 def run_battery(cfg: RunConfig, out_dir: str) -> list[dict]:
-    if whole_steps(cfg.t_final, THETA_DT) is None:  # else the theta run would end early
+    theta_steps = whole_steps(cfg.t_final, THETA_DT)
+    if theta_steps is None:  # else the theta run would end early
         raise ConfigError([
             f"[flow] t_final = {cfg.t_final}: the battery's theta run needs a whole multiple "
             f"of its dt = {THETA_DT} (t_final/dt = {cfg.t_final / THETA_DT:.6g})"
+        ])
+    if theta_steps > MAX_STEPS:  # the config held only [flow] dt to it
+        raise ConfigError([
+            f"[flow] t_final = {cfg.t_final}: the battery's theta run would take {theta_steps} "
+            f"steps of THETA_DT = {THETA_DT}, more than MAX_STEPS = {MAX_STEPS}"
         ])
     verdicts = check_operator_linearization(cfg)  # builds the config's own grid first
     os.makedirs(out_dir, exist_ok=True)  # so a config that build_problem rejects leaves no directory

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import sys
@@ -627,11 +628,56 @@ class TestLanes:
     """
 
     def test_lane_count_follows_slab_count(self, monkeypatch):
+        # LANES lanes on every grid, one slab (n <= 32) or many
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            for n in (8, 32, 64):
+                ws = flow.SlabWorkspace((n, n, n))
+                assert len(ws.slabs) == (8 if n == 64 else 1)
+                assert len(ws.lanes) == lanes, (lanes, n)
+
+    def test_a_one_item_map_stays_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(flow, "LANES", 2)
-        assert len(flow.SlabWorkspace((64, 64, 64)).lanes) == 2
-        assert len(flow.SlabWorkspace((32, 32, 32)).lanes) == 1
-        monkeypatch.setattr(flow, "LANES", 1)
-        assert len(flow.SlabWorkspace((64, 64, 64)).lanes) == 1
+        ws = flow.SlabWorkspace((16, 16, 16))
+        submitted = []
+        submit = ws.submit
+        ws.submit = lambda job: submitted.append(job) or submit(job)
+        work = lambda item, lane: (item, lane, threading.current_thread())  # noqa: E731
+        assert ws.map(work, ["only"]) == [("only", ws.lanes[0], threading.current_thread())]
+        assert ws.map(work, []) == []
+        assert submitted == []  # no job for the worker, so none to cancel
+        assert ws._pool is None
+        assert [item for item, _, _ in ws.map(work, [0, 1])] == [0, 1]
+        assert len(submitted) == 1  # two items: the worker's lane is one job
+
+    def test_step_on_one_slab_updates_the_fields_on_two_threads(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        w = dataclasses.replace(w16)
+        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        expected = step(st, w, 1e-4)
+        assert len(w.slab_workspace.slabs) == 1 and len(w.slab_workspace.lanes) == 2
+        # each heat solve waits for the other, so one thread cannot take both
+        both_solving = threading.Barrier(2, timeout=20)
+        solved_on, stencil_on = [], []
+        heat_solve_, slab_stencil_ = flow.heat_solve, flow.slab_stencil
+
+        def heat_solve(*args):
+            solved_on.append(threading.current_thread())
+            both_solving.wait()
+            return heat_solve_(*args)
+
+        def stencil(*args, **kwargs):
+            stencil_on.append(threading.current_thread())
+            return slab_stencil_(*args, **kwargs)
+
+        monkeypatch.setattr(flow, "heat_solve", heat_solve)
+        monkeypatch.setattr(flow, "slab_stencil", stencil)
+        got = step(st, w, 1e-4)
+        assert len(solved_on) == 2 and len(set(solved_on)) == 2
+        assert threading.current_thread() in solved_on
+        assert stencil_on == [threading.current_thread()] * 2  # derive_state's one slab
+        for field in dataclasses.fields(StepState):
+            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), field.name
 
     def test_map_slabs_hands_each_slab_out_once(self, monkeypatch):
         # a tiny switch interval makes the lanes interleave inside the hand-out
@@ -703,10 +749,29 @@ class TestLanes:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_run_on_one_slab_writes_identical_files(self, tmp_path, monkeypatch, n):
-        # one slab: only the diagnostics rows go to the worker
+        # one slab: the worker takes one field update of each step, and the diagnostics rows
         outputs = self._cmd_run_outputs(n, 2e-3, tmp_path, monkeypatch)
         assert sum(name.endswith(".sgf") for name in outputs[0]) == 11
         assert outputs[0] == outputs[1]
+
+    def test_conserve_phi2_mean_run_same_for_any_lane_count(self, w16, monkeypatch):
+        # the mean shift of state k must land before step k + 1 reads phi2, row beside it or not
+        runs = []
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            w = dataclasses.replace(w16)
+            st0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
+            runs.append(
+                run(st0, w, dt=1e-4, t_final=4e-3, snapshot_interval=1e-3, conserve_phi2_mean=True)
+            )
+        one, two = runs
+        assert len(one.series["t"]) == 41 and one.series == two.series
+        assert len(one.snapshots) == len(two.snapshots) == 5
+        for a, b in zip(one.snapshots, two.snapshots):
+            assert a.t == b.t
+            for field in ("phi1", "phi2", "dphi1_dt", "dphi2_dt"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert abs(float(a.phi2.mean())) < 1e-15
 
     @staticmethod
     def _spy_rows(monkeypatch, before=None):
@@ -772,30 +837,77 @@ class TestLanes:
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_blowup_with_a_row_in_flight_keeps_its_payload(self, w16, monkeypatch, lanes):
+        # step 3's heat solves return inf; the rows are slow, so a row handed
+        # out beside step 3's field updates would still be running when it failed
         monkeypatch.setattr(flow, "LANES", lanes)
         w = dataclasses.replace(w16)
-        st = init_state("trig", {"a": 0.3, "b": 0.2}, w)
-        finished = []
+        dt = 1e-3
+        st0 = init_state("trig", {"a": 0.3, "b": 0.2}, w)
+        states = []
+        march(st0, w, dt=dt, t_final=2 * dt, step_callback=states.append)
+        solves = itertools.count()
+        poisoned_from = 0  # the first heat solve that returns inf
+        heat_solve_ = flow.heat_solve
 
-        def before(k):
-            time.sleep(0.2)  # still in flight when the first step fails
-            finished.append(k)
+        def heat_solve(f, factor, spec, out):
+            heat_solve_(f, factor, spec, out)
+            if next(solves) >= poisoned_from:
+                out[...] = np.inf
+            return out
 
+        monkeypatch.setattr(flow, "heat_solve", heat_solve)
         with np.errstate(all="ignore"):
-            st0 = derive_state(st.phi1, st.phi2 * 1e308, 0.25, w)
             with pytest.raises(FlowBlowupError) as expected:
-                step(st0, w, 1e-3, step_index=1)
+                step(states[2], w, dt, step_index=3)
+            started, finished = [], []
+
+            def before(k):
+                started.append(k)
+                time.sleep(0.2)
+                finished.append(k)
+
             self._spy_rows(monkeypatch, before)
+            solves, poisoned_from = itertools.count(), 4  # steps 1 and 2 solve twice each
             with pytest.raises(FlowBlowupError) as err:
-                run(st0, w, dt=1e-3, t_final=5e-3, snapshot_interval=5e-3)
-        assert finished == [0]  # the row of state 0 had ended before run raised
+                run(st0, w, dt=dt, t_final=5 * dt, snapshot_interval=5 * dt)
+        # rows 0 and 1 had ended before run raised; row 2 was never handed out
+        assert started == finished == [0, 1]
         assert err.traceback[-1].name == "step"
         payload = [
             (e.step, e.t, e.max_phi1, e.max_phi2, e.max_drift, str(e))
             for e in (err.value, expected.value)
         ]
         assert payload[0] == payload[1]
-        assert payload[0][:2] == (1, 0.25)
+        assert payload[0][:2] == (3, states[2].t)
+
+    def test_a_raising_derive_state_waits_for_the_row_in_flight(self, w16, monkeypatch):
+        monkeypatch.setattr(flow, "LANES", 2)
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        started, finished = [], []
+        row2_started = threading.Event()
+        derived = itertools.count(1)
+
+        def before(k):
+            started.append(k)
+            if k == 2:
+                row2_started.set()
+            time.sleep(0.2)  # still running when derive_state raises
+            finished.append(k)
+
+        derive_state_ = flow.derive_state
+
+        def derive(phi1, phi2, t, w_):
+            if next(derived) == 3:  # inside step 3, beside row 2
+                assert row2_started.wait(20)
+                raise KeyboardInterrupt
+            return derive_state_(phi1, phi2, t, w_)
+
+        self._spy_rows(monkeypatch, before)
+        monkeypatch.setattr(flow, "derive_state", derive)
+        with pytest.raises(KeyboardInterrupt):
+            run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)
+        assert started == finished == [0, 1, 2]  # row 2 had ended before run raised
 
     @pytest.mark.parametrize("mode", ["ignore", "warn"])
     def test_errstate_holds_inside_the_row_on_the_worker(self, w16, monkeypatch, mode):
@@ -814,38 +926,59 @@ class TestLanes:
         monkeypatch.setattr(flow, "LANES", 2)
         w = dataclasses.replace(w16)
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
-        started, finished, at_step = [], [], []
+        log = []  # (event, ...) in the order they happened, on either thread
+        row_, heat_solve_, derive_state_ = flow._series_row, flow.heat_solve, flow.derive_state
 
         def row(state, w_, pre):
-            started.append(state.t)
+            log.append(("row", state.t))
             time.sleep(2e-3)  # longer than a step at n = 16, so rows would pile up if not waited for
             out = row_(state, w_, pre)
-            finished.append(state.t)
+            log.append(("row_end", state.t))
             return out
 
-        def step_(*args, step_index, **kwargs):
-            at_step.append((step_index, len(started), len(finished)))
-            return step_orig(*args, step_index=step_index, **kwargs)
+        def heat_solve(*args):
+            log.append(("solve",))
+            out = heat_solve_(*args)
+            log.append(("solve_end",))
+            return out
 
-        row_, step_orig = flow._series_row, flow.step
+        def derive(phi1, phi2, t, w_):
+            log.append(("derive", t))
+            time.sleep(1e-3)  # time for the worker to start the row handed out just before
+            out = derive_state_(phi1, phi2, t, w_)
+            log.append(("derive_end", t))
+            return out
+
         monkeypatch.setattr(flow, "_series_row", row)
-        monkeypatch.setattr(flow, "step", step_)
+        monkeypatch.setattr(flow, "heat_solve", heat_solve)
+        monkeypatch.setattr(flow, "derive_state", derive)
         traj = run(st0, w, dt=1e-4, t_final=2e-3, snapshot_interval=2e-3)
-        assert len(traj.series["t"]) == len(finished) == 21
-        assert finished == sorted(finished)
-        # step j runs once rows 0 .. j-2 are collected, beside at most row j-1
-        for j, n_started, n_finished in at_step:
-            assert n_finished >= j - 1 and n_started - n_finished <= 1, (j, n_started, n_finished)
-        assert any(s > f for _, s, f in at_step)  # steps did run beside a row
+        times = traj.series["t"]
+        assert len(times) == 21 and [e[1] for e in log if e[0] == "row_end"] == times
+
+        def count(kind, before):  # events of a kind among the first `before` of the log
+            return sum(e[0] == kind for e in log[:before])
+
+        overlaps = 0
+        for k, t in enumerate(times):
+            start, end = log.index(("row", t)), log.index(("row_end", t))
+            # row k starts once step k + 1's two field updates have ended ...
+            assert count("solve_end", start) == 2 * min(k + 1, 20), k
+            # ... and has ended before step k + 2's field updates start
+            assert count("solve", end) == 2 * min(k + 1, 20), k
+            if k < 20:
+                t1 = times[k + 1]
+                overlaps += start < log.index(("derive_end", t1)) and end > log.index(("derive", t1))
+        assert overlaps > 0  # rows did run beside a derive_state
 
     def test_worker_thread_ends_with_its_weight_on_one_slab(self, w16, monkeypatch):
         monkeypatch.setattr(flow, "LANES", 2)
         before = set(threading.enumerate())
         w = dataclasses.replace(w16)
-        assert len(w.slab_workspace.lanes) == 1
+        assert len(w.slab_workspace.slabs) == 1 and len(w.slab_workspace.lanes) == 2
         st0 = init_state("trig", {"a": 0.1, "b": 0.1}, w)
         assert not set(threading.enumerate()) - before  # one slab: init_state starts no thread
-        run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)  # the rows start the worker
+        run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)  # the first step starts the worker
         (worker,) = set(threading.enumerate()) - before
         assert worker.name.startswith("singflow-lane")
         del w

@@ -1,5 +1,6 @@
 """The battery's own runs: each check frees the run it made, and a [flow]
-t_final that the theta run cannot reach is refused before any phase."""
+t_final that the theta run cannot reach, or would take more than MAX_STEPS
+steps to reach, is refused before any phase."""
 
 import dataclasses
 import gc
@@ -50,4 +51,22 @@ def test_t_final_off_the_theta_step_exit_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "config error: [flow] t_final = 0.0102: the battery's theta run" in err
     assert "dt = 0.001" in err
+    assert not out.exists()
+
+
+def test_theta_run_over_max_steps_exit_2(tmp_path, capsys, monkeypatch):
+    # 2e4 steps of [flow] dt = 1 pass the config, but the theta run would take 2e7
+    def no_phase(cfg):
+        raise AssertionError("a battery phase ran")
+
+    monkeypatch.setattr(verify, "check_operator_linearization", no_phase)
+    p = tmp_path / "long.cfg"
+    p.write_text("[grid]\nn = 16\n[flow]\ndt = 1\nt_final = 2e4\nsnapshot_interval = 1\n")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "config error: [flow] t_final = 20000.0: the battery's theta run would take 20000000 "
+        "steps of THETA_DT = 0.001, more than MAX_STEPS = 10000000"
+    ) in err
     assert not out.exists()
