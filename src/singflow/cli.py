@@ -117,10 +117,13 @@ def _matrix_rows(M):
 
 def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     w = build_problem(cfg)
-    os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid could be built
-    phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
-    basis = build_basis(w.grid, cfg.galerkin_N)
+    try:
+        basis = build_basis(w.grid, cfg.galerkin_N)
+    except ValueError as exc:  # more modes than the grid holds below its Nyquist wavenumber
+        raise ConfigError([f"[galerkin] N = {cfg.galerkin_N}: {exc}"]) from None
     f1, f2 = galerkin_forcing(cfg.galerkin_forcing, w.grid, w.rho)
+    os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid and basis could be built
+    phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
     times = np.arange(0.0, cfg.galerkin_t_final + 1e-12, cfg.galerkin_dt)
     system = assemble_galerkin(phi0_1, phi0_2, w, basis, f1, f2, times)
     integrate_ode(system, T=cfg.galerkin_t_final, dt=cfg.galerkin_dt)

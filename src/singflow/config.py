@@ -13,6 +13,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
+from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
+from singflow.weight import build_weight
+
 
 class ConfigError(Exception):
     def __init__(self, errors: list[str]):
@@ -221,6 +224,8 @@ def _validate(cfg: RunConfig, errors: list[str]):
                 errors.append(_off_grid("flow", name, value, cfg.dt))
     if cfg.solver_tol <= 0:
         errors.append(f"[weight] solver_tol = {cfg.solver_tol}: must be positive")
+    if cfg.galerkin_forcing not in ("trig_damped", "zero"):
+        errors.append(f"[galerkin] forcing = {cfg.galerkin_forcing!r}: must be trig_damped or zero")
     if cfg.galerkin_N < 1:
         errors.append(f"[galerkin] N = {cfg.galerkin_N}: must be at least 1")
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:
@@ -325,17 +330,23 @@ def build_problem(cfg: RunConfig, near_radius: float | None = None):
     near_radius, when given, replaces the distance field's default near-curve
     radius. A grid with no node outside the curve's exclusion ring (radius
     2 * spacing) is rejected, since the sup-type norms read only those nodes.
+    So is a circle that `geometry` rejects for its normal axis, its sample
+    count, or its sample spacing against the grid's.
     """
-    from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
-    from singflow.weight import build_weight
-
     grid = TorusGrid(cfg.n, cfg.length)
     if cfg.curve_kind == "axis_line":
         gamma = CurveGamma.axis_line(cfg.curve_a, cfg.curve_b)
     else:
-        gamma = CurveGamma.circle(
-            cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
-        )
+        try:
+            gamma = CurveGamma.circle(
+                cfg.circle_center, cfg.circle_radius, cfg.circle_normal_axis, cfg.circle_samples
+            )
+            gamma.validate_resolution(grid)
+        except ValueError as exc:
+            raise ConfigError([
+                f"[curve] kind = circle (radius = {cfg.circle_radius}, normal_axis = "
+                f"{cfg.circle_normal_axis}, samples = {cfg.circle_samples}): {exc}"
+            ]) from None
     rho = distance_to_curve(grid, gamma, near_radius=near_radius)
     if not rho.outside_ring.any():
         raise ConfigError(

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from singflow.operators import gradient, laplacian
+
 
 @dataclass
 class TorusGrid:
@@ -178,8 +180,6 @@ def _axis_line_distance(grid: TorusGrid, gamma: CurveGamma):
 
 
 def _circle_distance(grid: TorusGrid, gamma: CurveGamma):
-    from singflow.operators import gradient
-
     L = grid.length
     pts = gamma.sample_points
     x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
@@ -190,8 +190,6 @@ def _circle_distance(grid: TorusGrid, gamma: CurveGamma):
         d3 = wrap_delta(x3 - p[2], L)
         np.minimum(rho2, d1 * d1 + d2 * d2 + d3 * d3, out=rho2)
     rho = np.sqrt(rho2)
-
-    from singflow.operators import laplacian
 
     # ridge detector: away from the cut locus Lap rho stays above -2/rho,
     # across it the kink makes the second difference drop like -1/spacing

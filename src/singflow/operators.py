@@ -15,10 +15,12 @@ Conventions fixed here and relied on elsewhere:
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from singflow.weight import WeightField
+if TYPE_CHECKING:  # annotations only: operators imports no singflow module when it runs
+    from singflow.weight import WeightField
 
 
 def rfft_wavevectors(grid):

@@ -26,11 +26,10 @@ them to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from singflow.config import ConfigError
 from singflow.geometry import TorusGrid
 from singflow.operators import gradient, grid_inner
 from singflow.weight import WeightField, weight_power
@@ -52,29 +51,25 @@ def _wavevector_representatives(kmax: int):
     return reps
 
 
-def _gradients(fields: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered gradient of each field of a stack, shape (N, 3) + grid shape."""
-    grads = np.empty(fields.shape[:1] + (3,) + fields.shape[1:])
-    for g, f in zip(grads, fields):
-        g[...] = gradient(f, spacing)
-    return grads
+class Basis:
+    """N grid fields and their centered gradients (`operators.gradient`).
 
+    The Fourier eigenbasis of `build_basis` and the weighted basis
+    psi1_m = h^alpha e^{phi0_2} psi2_m of `build_weighted_basis` are both one.
+    """
 
-@dataclass
-class SpectralBasis:
-    grid: TorusGrid
-    fields: np.ndarray  # (N, n, n, n)
-    grads: np.ndarray = field(init=False)  # (N, 3, n, n, n)
-
-    def __post_init__(self):
-        self.grads = _gradients(self.fields, self.grid.spacing)
+    def __init__(self, fields: np.ndarray, spacing: float):
+        self.fields = fields  # (N, n, n, n)
+        self.grads = np.empty(fields.shape[:1] + (3,) + fields.shape[1:])  # (N, 3, n, n, n)
+        for g, f in zip(self.grads, fields):
+            g[...] = gradient(f, spacing)
 
     @property
     def size(self) -> int:
         return len(self.fields)
 
 
-def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
+def build_basis(grid: TorusGrid, N: int) -> Basis:
     """First N eigenmodes of -Lap, ordered by (eigenvalue, wave-vector, cos<sin)."""
     if N < 1 or N > grid.n**3:
         raise ValueError("N must lie in [1, n^3]")
@@ -112,22 +107,13 @@ def build_basis(grid: TorusGrid, N: int) -> SpectralBasis:
             base = np.cos(phase) if kind == "cos" else np.sin(phase)
             f = np.sqrt(2.0 / volume) * np.broadcast_to(base, grid.shape)
         fields.append(np.ascontiguousarray(f))
-    return SpectralBasis(grid=grid, fields=np.stack(fields))
+    return Basis(np.stack(fields), grid.spacing)
 
 
-@dataclass
-class WeightedBasis:
+def build_weighted_basis(basis: Basis, w: WeightField, phi0_2: np.ndarray) -> Basis:
     """psi1_m = h^alpha e^{phi0_2} psi2_m, the blow-up-adapted test fields."""
-
-    fields: np.ndarray  # (N, n, n, n)
-    grads: np.ndarray  # (N, 3, n, n, n)
-
-
-def build_weighted_basis(basis: SpectralBasis, w: WeightField, phi0_2: np.ndarray) -> WeightedBasis:
     envelope = weight_power(w, w.alpha) * np.exp(phi0_2)
-    fields = basis.fields * envelope[None]
-    grads = _gradients(fields, basis.grid.spacing)
-    return WeightedBasis(fields=fields, grads=grads)
+    return Basis(basis.fields * envelope[None], w.grid.spacing)
 
 
 def galerkin_forcing(name: str, grid, rho):
@@ -149,13 +135,13 @@ def galerkin_forcing(name: str, grid, rho):
     if name == "zero":
         zero = np.zeros(grid.shape)
         return (lambda t: zero), (lambda t: zero)
-    raise ConfigError([f"[galerkin] forcing = {name!r}: unknown preset"])
+    raise ValueError(f"unknown Galerkin forcing preset {name!r}")
 
 
 @dataclass
 class GalerkinSystem:
-    basis: SpectralBasis
-    wbasis: WeightedBasis
+    basis: Basis
+    wbasis: Basis
     weight: WeightField
     phi0_1: np.ndarray
     phi0_2: np.ndarray
@@ -183,7 +169,7 @@ def assemble_galerkin(
     phi0_1: np.ndarray,
     phi0_2: np.ndarray,
     w: WeightField,
-    basis: SpectralBasis,
+    basis: Basis,
     f1,
     f2,
     times: np.ndarray,
@@ -314,7 +300,7 @@ def weak_residual(
     system: GalerkinSystem,
     f1,
     f2,
-    test_functions: tuple[SpectralBasis, WeightedBasis] | None = None,
+    test_functions: tuple[Basis, Basis] | None = None,
 ) -> float:
     """Max defect of the two weak-form identities over a set of test functions.
 
@@ -410,32 +396,32 @@ def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]
 
     LHS: max_t (||rho^-a k1||^2 + ||k2||^2) plus the time integral of the
     weighted gradient energies. RHS: ||rho^{-a+1} f1||^2 + ||f2||^2 in
-    L^2(0,T; L^2).
+    L^2(0,T; L^2). Both time integrals are trapezoidal on `coeff_times`.
+
+    k1 and k2 are the coefficient rows C1, C2 times the basis fields, so each
+    energy of the LHS is a quadratic form c^T M c of one coefficient row: the
+    masses with vol psi1 rho^{-2a} psi1^T and vol psi2 psi2^T, the gradient
+    energies with the weighted stiffness A and the plain stiffness of the
+    basis gradients. No field is reconstructed.
     """
     w = system.weight
-    grid = w.grid
-    vol = grid.cell_volume
-    s = grid.spacing
-    alpha = w.alpha
+    vol = w.grid.cell_volume
+    N = system.N
     rho = w.rho.rho
-    wtil = w.metric_weight(system.phi0_2)
-    rho_mass = rho ** (-2 * alpha)
-    rho_load = rho ** (2 * (1 - alpha))
-    ones = np.ones(grid.shape)
+    psi1 = system.wbasis.fields.reshape(N, -1)
+    psi2 = system.basis.fields.reshape(N, -1)
+    gpsi2 = system.basis.grads.reshape(N, -1)
 
-    max_mass = 0.0
-    grad_series = []
-    for t, k1, k2 in GalerkinStates(system):
-        mass = grid_inner(rho_mass * k1, k1, vol) + grid_inner(k2, k2, vol)
-        max_mass = max(max_mass, mass)
-        gk1 = gradient(k1, s)
-        gk2 = gradient(k2, s)
-        grad_series.append(
-            grid_inner(wtil * np.sum(gk1 * gk1, axis=0), ones, vol)
-            + grid_inner(np.sum(gk2 * gk2, axis=0), ones, vol)
-        )
-    lhs = max_mass + float(np.trapezoid(grad_series, system.coeff_times))
+    def energy(C, M):
+        """c^T M c of each row c of C."""
+        return np.sum((C @ M) * C, axis=1)
 
+    mass1 = vol * ((psi1 * (rho ** (-2 * w.alpha)).ravel()) @ psi1.T)
+    mass = energy(system.C1, mass1) + energy(system.C2, vol * (psi2 @ psi2.T))
+    grad = energy(system.C1, system.A) + energy(system.C2, vol * (gpsi2 @ gpsi2.T))
+    lhs = float(np.max(mass)) + float(np.trapezoid(grad, system.coeff_times))
+
+    rho_load = rho ** (2 * (1 - w.alpha))
     rhs_series = []
     for t in system.coeff_times:
         f1_t, f2_t = f1(float(t)), f2(float(t))

@@ -23,6 +23,7 @@ are freed when that check returns.
 from __future__ import annotations
 
 import dataclasses
+import filecmp
 import math
 import os
 
@@ -36,9 +37,11 @@ from singflow.analysis import (
     exponent_fit,
     theta_decay_check,
 )
+from singflow.cli import cmd_run
 from singflow.config import MAX_STEPS, ConfigError, RunConfig, build_problem, whole_steps
 from singflow.flow import init_state, initial_fields, march, run
 from singflow.operators import DP_apply, P_residual, gradient
+from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
 from singflow.spectral import (
     GalerkinStates,
     assemble_galerkin,
@@ -445,11 +448,6 @@ def check_weight_construction(cfg: RunConfig) -> list[dict]:
 
 
 def check_infrastructure(cfg: RunConfig, out_dir: str) -> list[dict]:
-    import filecmp
-
-    from singflow.cli import cmd_run
-    from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
-
     # snapshot round trip: write, read, rewrite, byte-compare
     rng = np.random.default_rng(cfg.seed)
     n = 8

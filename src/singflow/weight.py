@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from singflow.geometry import DistanceField, TorusGrid, stencil_clear
+from singflow.operators import divergence, gradient, laplacian, rfft_wavevectors
 
 
 class WeightSourceWarning(UserWarning):
@@ -96,8 +97,6 @@ def solve_u(
     inverse is spectral, with the continuum symbol 4 pi^2 |k|^2 / L^2 of -Lap
     on the rfftn layout; the masked source is projected to mean zero.
     """
-    from singflow.operators import laplacian, rfft_wavevectors
-
     if np.any(rho <= 0):
         raise ValueError("rho must be positive (clamp before solving)")
     log_rho = np.log(rho)
@@ -136,8 +135,6 @@ def assemble_weight(rho: DistanceField, u: np.ndarray, alpha: float) -> WeightFi
     grad rho comes from the distance field (analytic for axis lines), grad u
     from centered differences.
     """
-    from singflow.operators import gradient
-
     grid = rho.grid
     log_h = np.log(rho.rho) + u
     grad_log_h = rho.grad_rho / rho.rho[None] + gradient(u, grid.spacing)
@@ -161,8 +158,6 @@ def harmonicity_residual(w: WeightField, exclusion_radius: float) -> float:
     exclusion_radius above the source-mask radius of the distance field when
     h was built by the masked Poisson solve.
     """
-    from singflow.operators import divergence, gradient
-
     if exclusion_radius < 2.0 * w.grid.spacing:
         raise ValueError("exclusion_radius must be at least 2*spacing")
     lap = divergence(gradient(w.log_h, w.grid.spacing), w.grid.spacing)

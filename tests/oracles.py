@@ -15,7 +15,7 @@ import numpy as np
 from singflow.analysis import BoundReport
 from singflow.geometry import CurveGamma, TorusGrid, wrap_delta
 from singflow.operators import gradient, grid_inner, rfft_wavevectors, stencil_symbol
-from singflow.spectral import GalerkinSystem, WeightedBasis
+from singflow.spectral import Basis, GalerkinStates, GalerkinSystem
 from singflow.weight import WeightField, weight_power
 
 
@@ -105,7 +105,7 @@ def energy_H(phi1: np.ndarray, phi2: np.ndarray, w: WeightField) -> float:
     return float(np.sum(density)) * w.grid.cell_volume
 
 
-def weighted_norm_check(wb: WeightedBasis, w: WeightField, phi0_2: np.ndarray) -> np.ndarray:
+def weighted_norm_check(wb: Basis, w: WeightField, phi0_2: np.ndarray) -> np.ndarray:
     """||psi1_m||^2 in L^2(M; h^{-alpha}): should be 1 for every mode."""
     wtil = w.metric_weight(phi0_2)
     vol = w.grid.cell_volume
@@ -125,7 +125,7 @@ def project_onto_basis(system: GalerkinSystem, k1: np.ndarray, k2: np.ndarray):
     return np.linalg.solve(gram1, rhs1), np.linalg.solve(gram2, rhs2)
 
 
-def poincare_ratio(wb: WeightedBasis, w: WeightField, coeffs: np.ndarray) -> float:
+def poincare_ratio(wb: Basis, w: WeightField, coeffs: np.ndarray) -> float:
     """(int k1^2 / h^{2a+2}) / (int |grad k1|^2 / h^{2a}) for a reconstruction."""
     vol = w.grid.cell_volume
     k1 = np.tensordot(coeffs, wb.fields, axes=(0, 0))
@@ -133,6 +133,44 @@ def poincare_ratio(wb: WeightedBasis, w: WeightField, coeffs: np.ndarray) -> flo
     num = grid_inner(weight_power(w, -2 * w.alpha - 2) * k1, k1, vol)
     den = grid_inner(weight_power(w, -2 * w.alpha) * np.sum(gk1 * gk1, axis=0), np.ones(w.grid.shape), vol)
     return num / den
+
+
+def energy_estimate_loop(system: GalerkinSystem, f1, f2) -> tuple[float, float]:
+    """(LHS, RHS) of the Galerkin energy estimate from the reconstructed fields, state by state.
+
+    The reference of `spectral.energy_estimate_sides`, which takes the same
+    energies as quadratic forms of the coefficients.
+    """
+    w = system.weight
+    grid = w.grid
+    vol = grid.cell_volume
+    s = grid.spacing
+    alpha = w.alpha
+    rho = w.rho.rho
+    wtil = w.metric_weight(system.phi0_2)
+    rho_mass = rho ** (-2 * alpha)
+    rho_load = rho ** (2 * (1 - alpha))
+    ones = np.ones(grid.shape)
+
+    max_mass = 0.0
+    grad_series = []
+    for t, k1, k2 in GalerkinStates(system):
+        mass = grid_inner(rho_mass * k1, k1, vol) + grid_inner(k2, k2, vol)
+        max_mass = max(max_mass, mass)
+        gk1 = gradient(k1, s)
+        gk2 = gradient(k2, s)
+        grad_series.append(
+            grid_inner(wtil * np.sum(gk1 * gk1, axis=0), ones, vol)
+            + grid_inner(np.sum(gk2 * gk2, axis=0), ones, vol)
+        )
+    lhs = max_mass + float(np.trapezoid(grad_series, system.coeff_times))
+
+    rhs_series = []
+    for t in system.coeff_times:
+        f1_t, f2_t = f1(float(t)), f2(float(t))
+        rhs_series.append(grid_inner(rho_load * f1_t, f1_t, vol) + grid_inner(f2_t, f2_t, vol))
+    rhs = float(np.trapezoid(rhs_series, system.coeff_times))
+    return lhs, rhs
 
 
 def mode_wavevector(f: np.ndarray, grid: TorusGrid) -> tuple[int, int, int]:

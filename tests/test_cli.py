@@ -117,6 +117,11 @@ class TestConfigParsing:
         msg = next(e for e in err.value.errors if "duplicate" in e)
         assert ":3:" in msg and "line 2" in msg
 
+    def test_unknown_galerkin_forcing_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "\n[galerkin]\nforcing = bogus\n")
+        assert err.value.errors == ["[galerkin] forcing = 'bogus': must be trig_damped or zero"]
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("[grid]\nn = 16\nresolution = 4\n")
@@ -341,6 +346,24 @@ def _coarsen(snap):
     snap.fields = {name: f[::2, ::2, ::2] for name, f in snap.fields.items()}
 
 
+def _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, message):
+    """`command` on the config `text` exits 2 with `message` on stderr and leaves `--out` as it was."""
+    p = tmp_path / "rejected.cfg"
+    p.write_text(text)
+    out = tmp_path / "o"
+    if existed:
+        out.mkdir()
+        (out / "kept.txt").write_text("earlier output")
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert out.exists() == existed
+    if existed:
+        assert [f.name for f in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "earlier output"
+
+
 class TestMainEntry:
     def test_analyze_missing_dir_exit_2(self, capsys):
         rc = main(["analyze", "/nonexistent/run/dir"])
@@ -376,18 +399,54 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["run", "galerkin", "verify"])
     @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
     def test_rejected_grid_leaves_out_as_it_was(self, tmp_path, capsys, command, existed):
-        p = tmp_path / "coarse.cfg"
-        p.write_text("[grid]\nn = 3\n[flow]\nfamily = trig\nt_final = 2e-3\ndt = 1e-3\n")
-        out = tmp_path / "o"
-        if existed:
-            out.mkdir()
-            (out / "kept.txt").write_text("earlier output")
-        assert main([command, "--config", str(p), "--out", str(out)]) == 2
-        assert "every node lies within the exclusion ring" in capsys.readouterr().err
-        assert out.exists() == existed
-        if existed:
-            assert [f.name for f in out.iterdir()] == ["kept.txt"]
-            assert (out / "kept.txt").read_text() == "earlier output"
+        text = "[grid]\nn = 3\n[flow]\nfamily = trig\nt_final = 2e-3\ndt = 1e-3\n"
+        message = "every node lies within the exclusion ring"
+        _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, message)
+
+    @pytest.mark.parametrize(
+        "n, curve, reason",
+        [
+            (16, "normal_axis = 5", "normal_axis = 5, samples = 256): normal_axis must be 0, 1 or 2"),
+            (16, "samples = 2", "normal_axis = 2, samples = 2): circle needs at least 3 samples"),
+            (
+                32,
+                "samples = 16",
+                "normal_axis = 2, samples = 16): "
+                "circle sample spacing 0.09817 exceeds grid spacing 0.03125",
+            ),
+        ],
+        ids=["normal_axis", "too_few_samples", "samples_coarser_than_grid"],
+    )
+    @pytest.mark.parametrize("command", ["run", "galerkin", "verify"])
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_rejected_circle_leaves_out_as_it_was(
+        self, tmp_path, capsys, command, existed, n, curve, reason
+    ):
+        text = (
+            f"[grid]\nn = {n}\n[curve]\nkind = circle\n{curve}\n"
+            "[flow]\nfamily = trig\nt_final = 2e-3\ndt = 1e-3\n"
+        )
+        message = f"config error: [curve] kind = circle (radius = 0.25, {reason}\n"
+        _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, message)
+
+    @pytest.mark.parametrize(
+        "galerkin, message",
+        [
+            ("forcing = bogus", "config error: [galerkin] forcing = 'bogus': must be trig_damped or zero\n"),
+            (
+                "N = 400",
+                "config error: [galerkin] N = 400: "
+                "basis includes modes at or above the grid Nyquist wavenumber\n",
+            ),
+        ],
+        ids=["unknown_forcing", "N_above_nyquist"],
+    )
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_rejected_galerkin_leaves_out_as_it_was(
+        self, tmp_path, capsys, existed, galerkin, message
+    ):
+        text = f"[grid]\nn = 8\n[galerkin]\n{galerkin}\n"
+        _assert_rejected_leaves_out(tmp_path, capsys, "galerkin", text, existed, message)
 
     @pytest.mark.parametrize(
         "edit, messages",

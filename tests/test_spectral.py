@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     continuum_symbol,
+    energy_estimate_loop,
     grad_symbol,
     linearized_imex_states,
     mode_wavevector,
@@ -519,6 +520,18 @@ class TestEnergyEstimate:
             assert np.isfinite(lhs) and rhs > 0
             ratios.append(lhs / rhs)
         assert max(ratios) <= 2.0 * min(ratios)
+
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    def test_sides_match_the_per_state_loop(self, grid, w16, N):
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        times = np.arange(0.0, 0.3 + 1e-12, 2e-3)
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
+        integrate_ode(sysN, T=0.3, dt=2e-3)
+        got = energy_estimate_sides(sysN, f1, f2)
+        want = energy_estimate_loop(sysN, f1, f2)
+        for side, reference in zip(got, want):
+            assert abs(side - reference) <= 1e-13 * abs(reference)
 
 
 class TestForcing:
