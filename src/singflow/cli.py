@@ -24,11 +24,11 @@ from singflow.flow import SERIES_COLUMNS, FlowState, Trajectory, cfl_dt, init_st
 from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
 from singflow.spectral import (
-    GalerkinStates,
     assemble_galerkin,
     build_basis,
     galerkin_forcing,
     integrate_ode,
+    step_times,
     weak_residual,
 )
 from singflow.weight import harmonicity_residual, log_asymptotics_shell
@@ -124,7 +124,7 @@ def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     f1, f2 = galerkin_forcing(cfg.galerkin_forcing, w.grid, w.rho)
     os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid and basis could be built
     phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
-    times = np.arange(0.0, cfg.galerkin_t_final + 1e-12, cfg.galerkin_dt)
+    times = step_times(cfg.galerkin_t_final, cfg.galerkin_dt)
     system = assemble_galerkin(phi0_1, phi0_2, w, basis, f1, f2, times)
     integrate_ode(system, T=cfg.galerkin_t_final, dt=cfg.galerkin_dt)
 
@@ -138,7 +138,7 @@ def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     )
     write_csv(os.path.join(out_dir, "coefficients.csv"), coeff_cols, coeff_rows)
 
-    defect = weak_residual(GalerkinStates(system), system, f1, f2)
+    defect = weak_residual(system, f1, f2)
     write_json(
         os.path.join(out_dir, "weak_residual.json"),
         {

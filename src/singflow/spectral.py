@@ -180,12 +180,15 @@ def assemble_galerkin(
     the grid sum of the pointwise products that `operators.exact_inner` would
     sum, reduced by numpy's pairwise sum along one row of an (N, n^3) work
     buffer instead of by fsum: A and C one row per pass, B and D one column
-    per pass. The time-sampled loads use the BLAS dot product.
+    per pass. The time-sampled loads reuse that buffer: f(t) at N sample
+    times fills its rows, and one BLAS matrix product with the test fields
+    gives N load rows, so each test-field matrix is read once per N times.
     """
     grid = w.grid
     vol = grid.cell_volume
     s = grid.spacing
     N = basis.size
+    times = np.asarray(times, dtype=float)
 
     wb = build_weighted_basis(basis, w, phi0_2)
     wtil = w.metric_weight(phi0_2).ravel()
@@ -227,11 +230,17 @@ def assemble_galerkin(
         d_l = minus_2wtil * np.sum(g0 * gpsi1[l], axis=0)
         D[:, l] = np.sum(np.multiply(psi2, d_l, out=acc), axis=1) * vol
 
+    # acc is free again and holds f(t) at up to N sample times per product,
+    # so the loads add no grid-sized buffer
     F1 = np.empty((len(times), N))
     F2 = np.empty((len(times), N))
-    for it, t in enumerate(times):
-        F1[it] = vol * (wpsi1 @ f1(float(t)).ravel())
-        F2[it] = vol * (psi2 @ f2(float(t)).ravel())
+    for start in range(0, len(times), N):
+        block = times[start : start + N]
+        blk = acc[: len(block)]
+        for F, f, rows in ((F1, f1, wpsi1), (F2, f2, psi2)):
+            for j, t in enumerate(block):
+                blk[j] = f(float(t)).ravel()
+            F[start : start + len(block)] = vol * (blk @ rows.T)
 
     return GalerkinSystem(
         basis=basis,
@@ -243,7 +252,7 @@ def assemble_galerkin(
         B=B,
         C=C,
         D=D,
-        times=np.asarray(times, dtype=float),
+        times=times,
         F1=F1,
         F2=F2,
     )
@@ -255,13 +264,22 @@ class OdeBlowupError(RuntimeError):
         self.step = step
 
 
+def step_times(T: float, dt: float) -> np.ndarray:
+    """0, dt, ..., round(T / dt) dt: the times `integrate_ode` steps through.
+
+    Loads sampled at these times leave no step time to `np.interp`'s clamp
+    at the last sample.
+    """
+    return dt * np.arange(int(round(T / dt)) + 1)
+
+
 def integrate_ode(system: GalerkinSystem, T: float, dt: float) -> GalerkinSystem:
     """Implicit trapezoidal integration of the 2N-dimensional system from zero data."""
     N = system.N
     M = system.block_matrix()
 
-    steps = int(round(T / dt))
-    t_grid = dt * np.arange(steps + 1)
+    t_grid = step_times(T, dt)
+    steps = len(t_grid) - 1
     F = np.zeros((steps + 1, 2 * N))
     for m in range(N):
         F[:, m] = np.interp(t_grid, system.times, system.F1[:, m])
@@ -286,41 +304,41 @@ def integrate_ode(system: GalerkinSystem, T: float, dt: float) -> GalerkinSystem
     return system
 
 
-def reconstruct(system: GalerkinSystem, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(k1, k2) fields at integration step `index`."""
-    if system.C1 is None:
-        raise ValueError("integrate_ode must run before reconstruct")
-    k1 = np.tensordot(system.C1[index], system.wbasis.fields, axes=(0, 0))
-    k2 = np.tensordot(system.C2[index], system.basis.fields, axes=(0, 0))
+def reconstruct(system: GalerkinSystem, c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k1, k2) fields of coefficient vectors: c1 on the weighted basis, c2 on the plain one."""
+    k1 = np.tensordot(c1, system.wbasis.fields, axes=(0, 0))
+    k2 = np.tensordot(c2, system.basis.fields, axes=(0, 0))
     return k1, k2
 
 
 def weak_residual(
-    states,
     system: GalerkinSystem,
     f1,
     f2,
     test_functions: tuple[Basis, Basis] | None = None,
 ) -> float:
-    """Max defect of the two weak-form identities over a set of test functions.
+    """Max defect of the integrated system's two weak-form identities over a set of test functions.
 
-    `states` is a sized sequence of (t, k1, k2) from t=0, such as
-    `GalerkinStates(system)` or a list: its length fixes the 8 evenly spread
-    check times before the first state is read, and it is iterated once. Time
-    integrals are trapezoidal on the states' times. Test functions default to
-    the system's own basis fields (time independent, so the time-derivative
-    transfer terms vanish); pass a larger (basis, weighted basis) pair to
-    probe directions outside the solution span.
+    The identities are checked at 8 evenly spread steps of `coeff_times`
+    (every step when there are fewer), with trapezoidal time integrals on
+    those times. Test functions default to the system's own basis fields
+    (time independent, so the time-derivative transfer terms vanish); pass a
+    larger (basis, weighted basis) pair to probe directions outside the
+    solution span.
 
     The stiffness, coupling and load rows are linear in (k1, k2, f1(t),
     f2(t)), and so is the trapezoid rule, so the integral of those rows up to
     a check time equals, up to rounding, the same rows evaluated on the
-    trapezoid integrals of the four fields. Those integrals are kept as
-    running sums, and the grid functionals run once per check time on them
-    instead of once per state. Only the mass rows are taken on the state
-    itself. The system's matrices and loads are not read, so the check stays
-    independent of the assembly.
+    trapezoid integrals of the four fields. k1 and k2 are linear in the
+    coefficient rows C1 and C2, so their integrals are running trapezoid sums
+    of those N-vectors, mapped to fields by `reconstruct` only at the check
+    times, along with the state itself, whose mass rows close each identity.
+    The forcings are opaque callables, so their integrals are running sums of
+    grid fields. The system's matrices and loads are not read, so the check
+    stays independent of the assembly.
     """
+    if system.C1 is None:
+        raise ValueError("integrate_ode must run before weak_residual")
     grid = system.weight.grid
     vol = grid.cell_volume
     s = grid.spacing
@@ -351,58 +369,49 @@ def weak_residual(
         load2 = vol * (psi2 @ l2.ravel())
         return stiff1 + coup1 - load1, stiff2 + coup2 - load2
 
-    n_steps = len(states) - 1
+    times = system.coeff_times
+    n_steps = len(times) - 1
     check_idx = set(np.linspace(1, n_steps, min(8, n_steps)).astype(int).tolist())
+    half_dt = 0.5 * np.diff(times)
+
+    def running_trapezoid(C):
+        """Row i: the trapezoid integral of the rows of C from times[0] to times[i]."""
+        out = np.zeros_like(C)
+        np.cumsum(half_dt[:, None] * (C[:-1] + C[1:]), axis=0, out=out[1:])
+        return out
+
+    int_C1 = running_trapezoid(system.C1)
+    int_C2 = running_trapezoid(system.C2)
 
     defect = 0.0
-    integrals = [grid.zeros() for _ in range(4)]  # trapezoid integrals of k1, k2, f1, f2
-    prev_t, prev = None, None
-    for i, (t, k1, k2) in enumerate(states):
-        fields = (k1, k2, f1(float(t)), f2(float(t)))
+    load_integrals = (grid.zeros(), grid.zeros())  # trapezoid integrals of f1, f2
+    prev = None
+    for i, t in enumerate(times):
+        loads = (f1(float(t)), f2(float(t)))
         if prev is not None:
-            half_dt = 0.5 * (t - prev_t)
-            for acc, a, b in zip(integrals, prev, fields):
-                acc += half_dt * (a + b)
-        prev_t, prev = t, fields
+            for acc, a, b in zip(load_integrals, prev, loads):
+                acc += half_dt[i - 1] * (a + b)
+        prev = loads
         if i in check_idx:
-            flux1, flux2 = flux_rows(*integrals)
+            flux1, flux2 = flux_rows(*reconstruct(system, int_C1[i], int_C2[i]), *load_integrals)
+            k1, k2 = reconstruct(system, system.C1[i], system.C2[i])
             id1 = vol * (wpsi1 @ k1.ravel()) + flux1
             id2 = vol * (psi2 @ k2.ravel()) + flux2
             defect = max(defect, float(np.max(np.abs(id1))), float(np.max(np.abs(id2))))
     return defect
 
 
-class GalerkinStates:
-    """The stored coefficient trajectory as a lazy sized sequence of (t, k1, k2).
+def energy_estimate_lhs(system: GalerkinSystem) -> float:
+    """Measured left side of the Galerkin energy estimate.
 
-    Its length is known before any field exists; iterating reconstructs one
-    step at a time, so the trajectory's fields are never all held at once.
-    """
-
-    def __init__(self, system: GalerkinSystem):
-        self.system = system
-
-    def __len__(self) -> int:
-        return len(self.system.coeff_times)
-
-    def __iter__(self):
-        for i, t in enumerate(self.system.coeff_times):
-            k1, k2 = reconstruct(self.system, i)
-            yield float(t), k1, k2
-
-
-def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]:
-    """Measured (LHS, RHS) of the Galerkin energy estimate.
-
-    LHS: max_t (||rho^-a k1||^2 + ||k2||^2) plus the time integral of the
-    weighted gradient energies. RHS: ||rho^{-a+1} f1||^2 + ||f2||^2 in
-    L^2(0,T; L^2). Both time integrals are trapezoidal on `coeff_times`.
+    max_t (||rho^-a k1||^2 + ||k2||^2) plus the time integral of the weighted
+    gradient energies, trapezoidal on `coeff_times`.
 
     k1 and k2 are the coefficient rows C1, C2 times the basis fields, so each
-    energy of the LHS is a quadratic form c^T M c of one coefficient row: the
-    masses with vol psi1 rho^{-2a} psi1^T and vol psi2 psi2^T, the gradient
-    energies with the weighted stiffness A and the plain stiffness of the
-    basis gradients. No field is reconstructed.
+    energy is a quadratic form c^T M c of one coefficient row: the masses with
+    vol psi1 rho^{-2a} psi1^T and vol psi2 psi2^T, the gradient energies with
+    the weighted stiffness A and the plain stiffness of the basis gradients.
+    No field is reconstructed.
     """
     w = system.weight
     vol = w.grid.cell_volume
@@ -419,14 +428,20 @@ def energy_estimate_sides(system: GalerkinSystem, f1, f2) -> tuple[float, float]
     mass1 = vol * ((psi1 * (rho ** (-2 * w.alpha)).ravel()) @ psi1.T)
     mass = energy(system.C1, mass1) + energy(system.C2, vol * (psi2 @ psi2.T))
     grad = energy(system.C1, system.A) + energy(system.C2, vol * (gpsi2 @ gpsi2.T))
-    lhs = float(np.max(mass)) + float(np.trapezoid(grad, system.coeff_times))
+    return float(np.max(mass)) + float(np.trapezoid(grad, system.coeff_times))
 
-    rho_load = rho ** (2 * (1 - w.alpha))
-    rhs_series = []
-    for t in system.coeff_times:
+
+def energy_estimate_rhs(w: WeightField, f1, f2, times: np.ndarray) -> float:
+    """Measured right side of the Galerkin energy estimate.
+
+    ||rho^{-a+1} f1||^2 + ||f2||^2 in L^2(0,T; L^2), trapezoidal on `times`.
+    It does not depend on the basis, so one value serves every truncation
+    integrated on the same times.
+    """
+    vol = w.grid.cell_volume
+    rho_load = w.rho.rho ** (2 * (1 - w.alpha))
+    series = []
+    for t in times:
         f1_t, f2_t = f1(float(t)), f2(float(t))
-        rhs_series.append(
-            grid_inner(rho_load * f1_t, f1_t, vol) + grid_inner(f2_t, f2_t, vol)
-        )
-    rhs = float(np.trapezoid(rhs_series, system.coeff_times))
-    return lhs, rhs
+        series.append(grid_inner(rho_load * f1_t, f1_t, vol) + grid_inner(f2_t, f2_t, vol))
+    return float(np.trapezoid(series, times))

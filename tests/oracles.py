@@ -3,7 +3,8 @@
 Nothing in `singflow` calls these functions: each is a slow, independent
 route to a quantity the package computes another way (the grid-level
 linearized solver against the Galerkin route, the energy against the
-per-step series row), or a diagnostic that backs a test of its own.
+per-step series row, the weak residual of grid states against the one of
+coefficient integrals), or a diagnostic that backs a test of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from singflow.analysis import BoundReport
 from singflow.geometry import CurveGamma, TorusGrid, wrap_delta
 from singflow.operators import gradient, grid_inner, rfft_wavevectors, stencil_symbol
-from singflow.spectral import Basis, GalerkinStates, GalerkinSystem
+from singflow.spectral import Basis, GalerkinSystem, reconstruct
 from singflow.weight import WeightField, weight_power
 
 
@@ -135,11 +136,97 @@ def poincare_ratio(wb: Basis, w: WeightField, coeffs: np.ndarray) -> float:
     return num / den
 
 
+class GalerkinStates:
+    """The stored coefficient trajectory as a lazy sized sequence of (t, k1, k2).
+
+    Its length is known before any field exists; iterating reconstructs one
+    step at a time, so the trajectory's fields are never all held at once.
+    """
+
+    def __init__(self, system: GalerkinSystem):
+        self.system = system
+
+    def __len__(self) -> int:
+        return len(self.system.coeff_times)
+
+    def __iter__(self):
+        for i, t in enumerate(self.system.coeff_times):
+            k1, k2 = reconstruct(self.system, self.system.C1[i], self.system.C2[i])
+            yield float(t), k1, k2
+
+
+def state_weak_residual(
+    states,
+    system: GalerkinSystem,
+    f1,
+    f2,
+    test_functions: tuple[Basis, Basis] | None = None,
+) -> float:
+    """Max defect of the two weak-form identities, taken on grid states.
+
+    `states` is a sized sequence of (t, k1, k2) from t=0, such as
+    `GalerkinStates(system)`, a list, or the steps of another solver: its
+    length fixes the 8 evenly spread check times before the first state is
+    read, and it is iterated once. Time integrals are trapezoidal on the
+    states' times, kept as running sums of the four fields (k1, k2, f1, f2),
+    and the grid functionals run once per check time on those sums. Only
+    `system`'s weight, initial fields and bases are read, so the states
+    need not come from its coefficients. The reference of
+    `spectral.weak_residual`, which integrates the coefficients instead.
+    """
+    grid = system.weight.grid
+    vol = grid.cell_volume
+    s = grid.spacing
+    wtil = system.weight.metric_weight(system.phi0_2)
+    g0 = gradient(system.phi0_1, s)
+    g0_sq = np.sum(g0 * g0, axis=0)
+    test_basis, test_wbasis = test_functions or (system.basis, system.wbasis)
+    N = test_basis.size
+
+    wpsi1 = (wtil[None] * test_wbasis.fields).reshape(N, -1)
+    psi2 = test_basis.fields.reshape(N, -1)
+    gpsi1 = test_wbasis.grads.reshape(N, -1)
+    gpsi2 = test_basis.grads.reshape(N, -1)
+
+    def flux_rows(k1, k2, l1, l2):
+        """Stiffness plus coupling minus load of each identity, for fields (k1, k2, f1, f2)."""
+        gk1 = gradient(k1, s)
+        gk2 = gradient(k2, s)
+        stiff1 = vol * (gpsi1 @ (wtil * gk1).ravel())
+        coup1 = vol * (wpsi1 @ (2.0 * np.sum(g0 * gk2, axis=0)).ravel())
+        load1 = vol * (wpsi1 @ l1.ravel())
+        stiff2 = vol * (gpsi2 @ gk2.ravel())
+        coup2 = vol * (psi2 @ (2.0 * wtil * g0_sq * k2 - 2.0 * wtil * np.sum(g0 * gk1, axis=0)).ravel())
+        load2 = vol * (psi2 @ l2.ravel())
+        return stiff1 + coup1 - load1, stiff2 + coup2 - load2
+
+    n_steps = len(states) - 1
+    check_idx = set(np.linspace(1, n_steps, min(8, n_steps)).astype(int).tolist())
+
+    defect = 0.0
+    integrals = [grid.zeros() for _ in range(4)]  # trapezoid integrals of k1, k2, f1, f2
+    prev_t, prev = None, None
+    for i, (t, k1, k2) in enumerate(states):
+        fields = (k1, k2, f1(float(t)), f2(float(t)))
+        if prev is not None:
+            half_dt = 0.5 * (t - prev_t)
+            for acc, a, b in zip(integrals, prev, fields):
+                acc += half_dt * (a + b)
+        prev_t, prev = t, fields
+        if i in check_idx:
+            flux1, flux2 = flux_rows(*integrals)
+            id1 = vol * (wpsi1 @ k1.ravel()) + flux1
+            id2 = vol * (psi2 @ k2.ravel()) + flux2
+            defect = max(defect, float(np.max(np.abs(id1))), float(np.max(np.abs(id2))))
+    return defect
+
+
 def energy_estimate_loop(system: GalerkinSystem, f1, f2) -> tuple[float, float]:
     """(LHS, RHS) of the Galerkin energy estimate from the reconstructed fields, state by state.
 
-    The reference of `spectral.energy_estimate_sides`, which takes the same
-    energies as quadratic forms of the coefficients.
+    The reference of `spectral.energy_estimate_lhs`, which takes the same
+    energies as quadratic forms of the coefficients, and of
+    `spectral.energy_estimate_rhs`.
     """
     w = system.weight
     grid = w.grid

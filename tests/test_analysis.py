@@ -339,7 +339,7 @@ class TestBarrier:
             z = np.zeros(grid.shape)
             sysN = assemble_galerkin(z, z, w, basis, f1, f2, times)
             integrate_ode(sysN, T=0.1, dt=1e-3)
-            k1, _ = reconstruct(sysN, len(sysN.coeff_times) - 1)
+            k1, _ = reconstruct(sysN, sysN.C1[-1], sysN.C2[-1])
             r = projection_coordinate_field(grid, AXIS, (0.5, 0.5, 0.5))
             rep = barrier_check(k1, rho, r, 2.5, 0.5, 1.5)
             consts.append(rep.left)

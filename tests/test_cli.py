@@ -312,6 +312,25 @@ class TestCmdGalerkin:
         coeffs = (out / "coefficients.csv").read_text().splitlines()
         assert coeffs[0] == "t,c1_0,c1_1,c1_2,c2_0,c2_1,c2_2"
 
+    def test_loads_sampled_at_every_ode_step_time(self, tmp_path, monkeypatch):
+        # t_final / dt = 1499.99999925 is accepted as 1500 steps; the loads must
+        # reach the last of the 1501 step times instead of stopping at 0.2998
+        import singflow.cli
+
+        seen = []
+        integrate = singflow.cli.integrate_ode
+
+        def spy(system, T, dt):
+            seen.append(integrate(system, T=T, dt=dt))
+            return seen[-1]
+
+        monkeypatch.setattr(singflow.cli, "integrate_ode", spy)
+        cfg = parse_config_text(MINIMAL + "\n[galerkin]\nN = 3\ndt = 2e-4\nt_final = 0.29999999985\n")
+        assert cmd_galerkin(cfg, str(tmp_path / "gal")) == 0
+        [system] = seen
+        assert len(system.coeff_times) == 1501
+        assert np.array_equal(system.times, system.coeff_times)
+
 
 class TestCircleCurve:
     def test_circle_problem_end_to_end(self, tmp_path):

@@ -11,13 +11,14 @@ the tests read are listed in `TEST_REFERENCES`, each with its reason.
 
 References from the tests do not count, so a definition kept alive only by
 its own test is reported too. Test-only reference code lives in
-`tests/oracles.py`.
+`tests/oracles.py`, and no package module defines or names any of it.
 """
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "singflow"
+ORACLES = pathlib.Path(__file__).resolve().parent / "oracles.py"
 
 # public definitions that only the tests read: module:name -> reason
 TEST_REFERENCES = {
@@ -121,3 +122,15 @@ def test_every_public_def_is_read_by_the_package():
 def test_test_references_are_still_unread():
     """The allow-list goes stale when a listed name is deleted or gains a package reader."""
     assert set(TEST_REFERENCES) <= set(unread_public_defs(package_sources()))
+
+
+def test_reference_code_stays_out_of_the_package():
+    """Each definition of `tests/oracles.py` is a second route to a package
+    result, such as the weak residual of grid states, so no package module
+    defines or names one: the package keeps one route of its own."""
+    oracles = ast.parse(ORACLES.read_text(encoding="utf-8"))
+    names = {n.name for n in oracles.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert {"GalerkinStates", "state_weak_residual"} <= names
+    trees = {name: ast.parse(src) for name, src in package_sources().items()}
+    defined = {name for _, _, name in _module_defs(trees)}
+    assert names & (defined | names_used(trees.values(), with_imports=True)) == set()

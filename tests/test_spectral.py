@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    GalerkinStates,
     continuum_symbol,
     energy_estimate_loop,
     grad_symbol,
@@ -10,19 +11,20 @@ from oracles import (
     mode_wavevector,
     poincare_ratio,
     project_onto_basis,
+    state_weak_residual,
     weighted_norm_check,
 )
 
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import exact_inner, gradient, grid_inner, stencil_symbol
 from singflow.spectral import (
-    GalerkinStates,
     GalerkinSystem,
     OdeBlowupError,
     assemble_galerkin,
     build_basis,
     build_weighted_basis,
-    energy_estimate_sides,
+    energy_estimate_lhs,
+    energy_estimate_rhs,
     integrate_ode,
     reconstruct,
     weak_residual,
@@ -220,7 +222,8 @@ def rk4_oracle(system: GalerkinSystem, T: float, dt: float):
 
 def loop_weak_residual(states, system, f1, f2, test_functions=None):
     """Entry-by-entry weak residual: (defect, rows) with one grid sum per
-    stiffness entry. Holds the vectorized `weak_residual` to this loop."""
+    stiffness entry on the reconstructed states. Holds the coefficient path
+    of `weak_residual` to this loop."""
     grid = system.weight.grid
     vol = grid.cell_volume
     s = grid.spacing
@@ -333,6 +336,31 @@ class TestAssembly:
         for got, want, size in zip((sysN.A, sysN.B, sysN.C, sysN.D), exact, scale):
             assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * size)
 
+    @pytest.mark.parametrize("N", [4, 8])
+    @pytest.mark.parametrize("count", ["1", "N", "N+1", "301"])
+    def test_loads_match_exact_inner_to_rounding(self, grid, w16, N, count):
+        # the loads go N sample times per block: one time, one full block, a
+        # full block and one more time, and 301 times with a partial last block
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        times = np.linspace(0.0, 0.3, {"1": 1, "N": N, "N+1": N + 1, "301": 301}[count])
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
+        assert np.array_equal(sysN.times, times)
+        vol = grid.cell_volume
+        wpsi1 = w16.metric_weight(phi0_2) * sysN.wbasis.fields
+        # a BLAS product sums the n^3 products in an order of its own, so the
+        # bound is the one for any order, gamma_{n^3} times the sum of their
+        # |values|; an entry from the wrong time or test field misses by far more
+        u = np.finfo(float).eps / 2
+        gamma = grid.n**3 * u / (1 - grid.n**3 * u)
+        for F, f, rows in ((sysN.F1, f1, wpsi1), (sysN.F2, f2, sysN.basis.fields)):
+            assert F.shape == (len(times), N)
+            for it, t in enumerate(times):
+                field = f(float(t))
+                for m in range(N):
+                    size = float(np.sum(np.abs(rows[m] * field))) * vol
+                    assert abs(F[it, m] - exact_inner(rows[m], field, vol)) <= gamma * size
+
 
 class TestIntegration:
     def test_zero_forcing_stays_zero(self, grid, w16):
@@ -399,7 +427,7 @@ class TestIntegration:
 class TestReconstruct:
     def test_zero_coefficients(self, system4):
         integrate_ode(system4, T=0.3, dt=1e-3)
-        k1, k2 = reconstruct(system4, 0)
+        k1, k2 = reconstruct(system4, system4.C1[0], system4.C2[0])
         assert np.max(np.abs(k1)) == 0.0
         assert np.max(np.abs(k2)) == 0.0
 
@@ -408,7 +436,7 @@ class TestReconstruct:
         system4.C2 = np.zeros((1, system4.N))
         system4.C1[0, 2] = 1.0
         system4.coeff_times = np.array([0.0])
-        k1, k2 = reconstruct(system4, 0)
+        k1, k2 = reconstruct(system4, system4.C1[0], system4.C2[0])
         assert np.allclose(k1, system4.wbasis.fields[2])
         assert np.max(np.abs(k2)) == 0.0
         integrate_ode(system4, T=0.3, dt=1e-3)  # restore for later tests
@@ -419,7 +447,7 @@ class TestReconstruct:
         assert len(states) == len(system4.coeff_times) == 301
         count = 0
         for i, (t, k1, k2) in enumerate(states):
-            want1, want2 = reconstruct(system4, i)
+            want1, want2 = reconstruct(system4, system4.C1[i], system4.C2[i])
             assert t == float(system4.coeff_times[i])
             assert np.array_equal(k1, want1) and np.array_equal(k2, want2)
             count += 1
@@ -443,7 +471,7 @@ class TestWeakResidual:
         zero = lambda t: np.zeros(grid.shape)  # noqa: E731
         sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, np.array([0.0, 0.1]))
         integrate_ode(sys0, T=0.1, dt=1e-3)
-        assert weak_residual(GalerkinStates(sys0), sys0, zero, zero) == 0.0
+        assert weak_residual(sys0, zero, zero) == 0.0
 
     def test_galerkin_solution_satisfies_weak_form(self, grid, w16):
         phi0_1, phi0_2 = smooth_phi0(grid)
@@ -452,7 +480,7 @@ class TestWeakResidual:
         times = np.arange(0.0, 0.1 + 1e-12, 1e-3)
         sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
         integrate_ode(sysA, T=0.1, dt=1e-3)
-        defect = weak_residual(GalerkinStates(sysA), sysA, f1, f2)
+        defect = weak_residual(sysA, f1, f2)
         assert defect <= 1e-6
 
     def test_doubling_N_reduces_out_of_span_residual(self, grid, w16):
@@ -466,10 +494,30 @@ class TestWeakResidual:
             times = np.arange(0.0, 0.1 + 1e-12, 1e-3)
             sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
             integrate_ode(sysN, T=0.1, dt=1e-3)
-            defects[N] = weak_residual(
-                GalerkinStates(sysN), sysN, f1, f2, test_functions=(test_basis, test_wb)
-            )
+            defects[N] = weak_residual(sysN, f1, f2, test_functions=(test_basis, test_wb))
         assert defects[8] < defects[4]
+
+    def test_requires_an_integrated_system(self, grid, w16):
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, np.array([0.0]))
+        with pytest.raises(ValueError, match="integrate_ode must run"):
+            weak_residual(sysA, f1, f2)
+
+    @pytest.mark.parametrize("name", ["C1", "C2"])
+    def test_perturbed_coefficients_between_checks_raise_defect(self, grid, w16, name):
+        # the check steps of 101 states are 1, 15, 29, ..., 100: step 5 enters
+        # the identities only through the time integrals of the coefficients
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        sysA = assemble_galerkin(
+            phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, 1e-3 * np.arange(101)
+        )
+        integrate_ode(sysA, T=0.1, dt=1e-3)
+        clean = weak_residual(sysA, f1, f2)
+        C = getattr(sysA, name)
+        C[5, 1] += 1e-2 * np.max(np.abs(C))
+        assert weak_residual(sysA, f1, f2) >= 1000.0 * clean
 
     @pytest.mark.parametrize(
         "T, wider_tests",
@@ -486,10 +534,12 @@ class TestWeakResidual:
         if wider_tests:
             test_basis = build_basis(grid, 8)
             tests = (test_basis, build_weighted_basis(test_basis, w16, phi0_2))
-        states = list(GalerkinStates(sysA))
-        want, rows = loop_weak_residual(states, sysA, f1, f2, tests)
-        got = weak_residual(states, sysA, f1, f2, test_functions=tests)
+        want, rows = loop_weak_residual(GalerkinStates(sysA), sysA, f1, f2, tests)
+        got = weak_residual(sysA, f1, f2, test_functions=tests)
         assert abs(got - want) <= 1e-13 * np.max(np.abs(rows))
+        # the grid-state oracle that the cross-solver test uses, held to the same loop
+        oracle = state_weak_residual(GalerkinStates(sysA), sysA, f1, f2, tests)
+        assert abs(oracle - want) <= 1e-13 * np.max(np.abs(rows))
 
     def test_grid_stepper_cross_solver(self, grid, w16):
         # the linearized grid IMEX solution satisfies the same weak identities
@@ -501,7 +551,7 @@ class TestWeakResidual:
         times = np.arange(0.0, 0.1 + 1e-12, dt)
         sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
         states = list(linearized_imex_states(phi0_1, phi0_2, w16, f1, f2, T=0.1, dt=dt))
-        defect = weak_residual(states, sysA, f1, f2)
+        defect = state_weak_residual(states, sysA, f1, f2)
         # scale set by the load size ~ O(1); constant measured at n in {8,16}
         assert defect <= 50.0 * (dt**2 + grid.spacing**2)
 
@@ -516,7 +566,8 @@ class TestEnergyEstimate:
             times = np.arange(0.0, 0.3 + 1e-12, 2e-3)
             sysN = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
             integrate_ode(sysN, T=0.3, dt=2e-3)
-            lhs, rhs = energy_estimate_sides(sysN, f1, f2)
+            lhs = energy_estimate_lhs(sysN)
+            rhs = energy_estimate_rhs(w16, f1, f2, sysN.coeff_times)
             assert np.isfinite(lhs) and rhs > 0
             ratios.append(lhs / rhs)
         assert max(ratios) <= 2.0 * min(ratios)
@@ -528,7 +579,7 @@ class TestEnergyEstimate:
         times = np.arange(0.0, 0.3 + 1e-12, 2e-3)
         sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
         integrate_ode(sysN, T=0.3, dt=2e-3)
-        got = energy_estimate_sides(sysN, f1, f2)
+        got = energy_estimate_lhs(sysN), energy_estimate_rhs(w16, f1, f2, sysN.coeff_times)
         want = energy_estimate_loop(sysN, f1, f2)
         for side, reference in zip(got, want):
             assert abs(side - reference) <= 1e-13 * abs(reference)
