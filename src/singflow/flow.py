@@ -269,12 +269,15 @@ class SlabWorkspace:
         future = self.submit(lambda: drain(self.lanes[1]))
         try:
             drain(self.lanes[0])
-        except BaseException:
+        finally:
             if not future.cancel():
                 future.exception()  # waits: the worker may still write to the caller's buffers
-            raise
-        if not future.cancel():
-            future.result()  # waits, and raises what the worker raised
+            # a job cancelled before the worker woke stays in its queue until it
+            # wakes, with drain's closure; `todo` would keep its last (index,
+            # item) pair there, so the cells are emptied and it pins no array
+            del todo, work
+        if not future.cancelled():
+            future.result()  # raises what the worker raised
         return results
 
     def submit(self, job):

@@ -43,6 +43,7 @@ from singflow.flow import init_state, initial_fields, march, run
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
 from singflow.spectral import (
+    Forcing,
     assemble_galerkin,
     build_basis,
     energy_estimate_lhs,
@@ -238,34 +239,40 @@ def _energy_corpus(grid, rho):
     c1 = np.cos(2 * np.pi * x1 / L)
     c2 = np.cos(2 * np.pi * x2 / L)
     c3 = np.cos(2 * np.pi * x3 / L)
-    # every f2 keeps O(1) content on the x3 modes, which are the first
-    # nonconstant modes of the basis ordering, so the N = 4 truncation is
-    # genuinely forced and the measured constant is comparable across N
+
+    def one(t):
+        return 1.0
+
+    # each term keeps the float operations of the closed form it came from,
+    # space * profile(t) with the profile multiplied last; every f2 keeps O(1)
+    # content on the x3 modes, which are the first nonconstant modes of the
+    # basis ordering, so the N = 4 truncation is genuinely forced and the
+    # measured constant is comparable across N
     corpus = [
         (
             ("zero", {}),
-            lambda t: damp * s1 * c3 * math.exp(-t),
-            lambda t: c3 * (1.0 + 0.3 * math.sin(3 * t)),
+            Forcing([(damp * s1 * c3, lambda t: math.exp(-t))]),
+            Forcing([(c3, lambda t: 1.0 + 0.3 * math.sin(3 * t))]),
         ),
         (
             ("poly_cutoff+trig", {"c": 0.05, "a": 0.2, "b": 0.1}),
-            lambda t: damp * c2 * s3 * (1.0 + t),
-            lambda t: s3 * math.exp(-2 * t) + 0.3 * s1,
+            Forcing([(damp * c2 * s3, lambda t: 1.0 + t)]),
+            Forcing([(s3, lambda t: math.exp(-2 * t)), (0.3 * s1, one)]),
         ),
         (
             ("poly_cutoff", {"c": 0.1}),
-            lambda t: damp * (s1 * c2 + 0.5 * s2),
-            lambda t: s3 * (1.0 - math.exp(-3 * t)),
+            Forcing([(damp * (s1 * c2 + 0.5 * s2), one)]),
+            Forcing([(s3, lambda t: 1.0 - math.exp(-3 * t))]),
         ),
         (
             ("trig", {"a": 0.3, "b": 0.2}),
-            lambda t: damp * (s1 + c2) * math.exp(-t / 2),
-            lambda t: c3 * math.cos(3 * t) + 0.2 * c1,
+            Forcing([(damp * (s1 + c2), lambda t: math.exp(-t / 2))]),
+            Forcing([(c3, lambda t: math.cos(3 * t)), (0.2 * c1, one)]),
         ),
         (
             ("poly_cutoff+trig", {"c": 0.05, "a": -0.15, "b": 0.25}),
-            lambda t: damp * s2 * math.cos(2 * t),
-            lambda t: c3 + 0.5 * s3 * math.exp(-t),
+            Forcing([(damp * s2, lambda t: math.cos(2 * t))]),
+            Forcing([(c3, one), (0.5 * s3, lambda t: math.exp(-t))]),
         ),
     ]
     return corpus

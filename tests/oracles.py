@@ -136,6 +136,50 @@ def poincare_ratio(wb: Basis, w: WeightField, coeffs: np.ndarray) -> float:
     return num / den
 
 
+def row_by_row_matrices(system: GalerkinSystem):
+    """A, B, C and D of `spectral.assemble_galerkin`, every entry summed on its own.
+
+    Each entry is the pairwise `np.sum` of the same pointwise products, in
+    the same float order, along one row of an (N, n^3) work buffer: A and C
+    a whole row per pass, B and D a whole column per pass. No entry is
+    mirrored from another, so this is the reference that the assembly's
+    mirrored triangles are held to bit for bit.
+    """
+    w = system.weight
+    vol = w.grid.cell_volume
+    N = system.N
+    wtil = w.metric_weight(system.phi0_2).ravel()
+    g0 = gradient(system.phi0_1, w.grid.spacing).reshape(3, -1)
+    wtil_g0_sq = wtil * np.sum(g0 * g0, axis=0)
+    psi2 = system.basis.fields.reshape(N, -1)
+    gpsi2 = system.basis.grads.reshape(N, 3, -1)
+    gpsi1 = system.wbasis.grads.reshape(N, 3, -1)
+    wpsi1 = wtil * system.wbasis.fields.reshape(N, -1)
+    acc = np.empty_like(psi2)
+    tmp = np.empty_like(psi2)
+
+    def grad_dot(grads, m):
+        np.multiply(grads[:, 0], grads[m, 0], out=acc)
+        for ax in (1, 2):
+            np.multiply(grads[:, ax], grads[m, ax], out=tmp)
+            np.add(acc, tmp, out=acc)
+        return acc
+
+    A, B, C, D = (np.empty((N, N)) for _ in range(4))
+    for m in range(N):
+        A[m] = np.sum(np.multiply(grad_dot(gpsi1, m), wtil, out=acc), axis=1) * vol
+        C_grad = np.sum(grad_dot(gpsi2, m), axis=1) * vol
+        np.multiply(psi2, wtil_g0_sq, out=acc)
+        acc *= psi2[m]
+        C[m] = 2.0 * (np.sum(acc, axis=1) * vol) + C_grad
+    for l in range(N):
+        b_l = 2.0 * np.sum(g0 * gpsi2[l], axis=0)
+        B[:, l] = np.sum(np.multiply(wpsi1, b_l, out=acc), axis=1) * vol
+        d_l = -2.0 * wtil * np.sum(g0 * gpsi1[l], axis=0)
+        D[:, l] = np.sum(np.multiply(psi2, d_l, out=acc), axis=1) * vol
+    return A, B, C, D
+
+
 class GalerkinStates:
     """The stored coefficient trajectory as a lazy sized sequence of (t, k1, k2).
 

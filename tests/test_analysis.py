@@ -317,7 +317,7 @@ class TestBarrier:
     def test_galerkin_k1_stable_across_n(self):
         import math as _math
 
-        from singflow.spectral import assemble_galerkin, build_basis, integrate_ode, reconstruct
+        from singflow.spectral import Forcing, assemble_galerkin, build_basis, integrate_ode, reconstruct
 
         consts = []
         for n in (16, 32):
@@ -327,12 +327,8 @@ class TestBarrier:
             x1 = np.broadcast_to(grid.coords[0], grid.shape)
             x3 = np.broadcast_to(grid.coords[2], grid.shape)
             damp = rho.rho_unclamped**2.5
-
-            def f1(t):
-                return damp * np.sin(2 * np.pi * x1) * _math.exp(-t)
-
-            def f2(t):
-                return np.zeros(grid.shape)
+            f1 = Forcing([(damp * np.sin(2 * np.pi * x1), lambda t: _math.exp(-t))])
+            f2 = Forcing([(np.zeros(grid.shape), lambda t: 1.0)])
 
             basis = build_basis(grid, 4)
             times = np.arange(0.0, 0.1 + 1e-12, 1e-3)

@@ -615,6 +615,27 @@ class TestStepBuffers:
         assert job.result(timeout=20) == 0.0
 
 
+    def test_a_cancelled_worker_job_pins_no_item(self, monkeypatch):
+        # with the worker busy, this thread takes both items and cancels the
+        # worker's job, which stays queued until the worker is free again; the
+        # items' arrays are free once the caller drops them all the same
+        monkeypatch.setattr(flow, "LANES", 2)
+        ws = flow.SlabWorkspace((8, 8, 8))
+        address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
+        release = threading.Event()
+        busy = ws.submit(lambda: release.wait(20))
+        try:
+            a, b = ws.grid_array(), ws.grid_array()
+            addrs = {address(a), address(b)}
+            assert ws.map(lambda item, lane: item[0].fill(1.0), [(a,), (b,)]) == [None, None]
+            del a, b
+            again = [ws.grid_array() for _ in range(2)]
+            assert {address(x) for x in again} == addrs
+        finally:
+            release.set()
+        assert busy.result(timeout=20)
+
+
 def _weight(n):
     grid = TorusGrid(n, 1.0)
     return build_weight(distance_to_curve(grid, CurveGamma.axis_line(0.5, 0.5)), alpha=1.5)

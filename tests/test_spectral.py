@@ -11,6 +11,7 @@ from oracles import (
     mode_wavevector,
     poincare_ratio,
     project_onto_basis,
+    row_by_row_matrices,
     state_weak_residual,
     weighted_norm_check,
 )
@@ -18,6 +19,7 @@ from oracles import (
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import exact_inner, gradient, grid_inner, stencil_symbol
 from singflow.spectral import (
+    Forcing,
     GalerkinSystem,
     OdeBlowupError,
     assemble_galerkin,
@@ -55,14 +57,33 @@ def forcing(grid, rho_field):
     # matching the data class of the linearized problem
     x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
     damp = rho_field.rho_unclamped**2.5
-
-    def f1(t):
-        return damp * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x3) * math.exp(-t)
-
-    def f2(t):
-        return np.cos(2 * np.pi * x2) * (1.0 + 0.3 * math.sin(3.0 * t))
-
+    f1 = Forcing([(damp * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * x3), lambda t: math.exp(-t))])
+    f2 = Forcing([(np.cos(2 * np.pi * x2), lambda t: 1.0 + 0.3 * math.sin(3.0 * t))])
     return f1, f2
+
+
+def zero_forcing(grid):
+    return Forcing([(np.zeros(grid.shape), lambda t: 1.0)])
+
+
+def pairwise_sum_depth(n: int) -> int:
+    """Additions on the longest path of numpy's pairwise sum of n contiguous values.
+
+    Below 8 values one running sum; up to 128, eight running sums of n // 8
+    values combined in three levels, then the rest of n % 8 added one by
+    one; above, two halves (the first a multiple of 8) added together. One
+    more counts the reduction adding that sum to its first value.
+    """
+
+    def depth(k):
+        if k < 8:
+            return k
+        if k <= 128:
+            return k // 8 - 1 + 3 + k % 8
+        half = k // 2 - (k // 2) % 8
+        return 1 + max(depth(half), depth(k - half))
+
+    return 1 + max(depth(n), depth(n - 1))
 
 
 class TestBasis:
@@ -336,11 +357,24 @@ class TestAssembly:
         for got, want, size in zip((sysN.A, sysN.B, sysN.C, sysN.D), exact, scale):
             assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * size)
 
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    def test_matrices_match_row_by_row_bitwise(self, grid, w16, N):
+        # A and the gradient part of C are summed for l >= m only and mirrored;
+        # every pointwise product commutes, so the mirror keeps the bits of the
+        # entry summed on its own
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        sysN = assemble_galerkin(
+            phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, np.array([0.0, 0.1])
+        )
+        for got, want in zip((sysN.A, sysN.B, sysN.C, sysN.D), row_by_row_matrices(sysN)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(sysN.A, sysN.A.T)
+
     @pytest.mark.parametrize("N", [4, 8])
     @pytest.mark.parametrize("count", ["1", "N", "N+1", "301"])
     def test_loads_match_exact_inner_to_rounding(self, grid, w16, N, count):
-        # the loads go N sample times per block: one time, one full block, a
-        # full block and one more time, and 301 times with a partial last block
+        # one sample time, N and N + 1 of them, and 301
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
         times = np.linspace(0.0, 0.3, {"1": 1, "N": N, "N+1": N + 1, "301": 301}[count])
@@ -348,25 +382,59 @@ class TestAssembly:
         assert np.array_equal(sysN.times, times)
         vol = grid.cell_volume
         wpsi1 = w16.metric_weight(phi0_2) * sysN.wbasis.fields
-        # a BLAS product sums the n^3 products in an order of its own, so the
-        # bound is the one for any order, gamma_{n^3} times the sum of their
-        # |values|; an entry from the wrong time or test field misses by far more
+        # a load entry is p(t) * (vol * S), S numpy's pairwise sum of the n^3
+        # products row * space; the reference sums row * (space * p(t)) by
+        # fsum. With u = eps / 2 and h the additions on the longest path of
+        # the pairwise sum, the two differ by at most (gamma_{h+3} + gamma_4)
+        # times the sum of |products|, and one more u covers the rounding of
+        # that sum: (h + 8) u, 16 eps at n = 16. An entry from the wrong time
+        # or test field misses by far more
         u = np.finfo(float).eps / 2
-        gamma = grid.n**3 * u / (1 - grid.n**3 * u)
+        bound = (pairwise_sum_depth(grid.n**3) + 8) * u
         for F, f, rows in ((sysN.F1, f1, wpsi1), (sysN.F2, f2, sysN.basis.fields)):
             assert F.shape == (len(times), N)
             for it, t in enumerate(times):
                 field = f(float(t))
                 for m in range(N):
                     size = float(np.sum(np.abs(rows[m] * field))) * vol
-                    assert abs(F[it, m] - exact_inner(rows[m], field, vol)) <= gamma * size
+                    assert abs(F[it, m] - exact_inner(rows[m], field, vol)) <= bound * size
+
+    def test_loads_and_residual_read_the_terms_not_the_field(self, grid, w16, monkeypatch):
+        # each profile is called once per sample time, and no forcing is
+        # evaluated on the grid
+        calls = []
+
+        def counted(name, profile):
+            return lambda t: calls.append((name, t)) or profile(t)
+
+        base1, base2 = forcing(grid, w16.rho)
+        ((space1, p1),) = base1.terms
+        ((space2, p2),) = base2.terms
+        f1 = Forcing([(space1, counted("f1", p1))])
+        steady = (np.ones(grid.shape), counted("f2 steady", lambda t: 0.5))
+        f2 = Forcing([(space2, counted("f2", p2)), steady])
+
+        def no_call(self, t):
+            raise AssertionError("a forcing was evaluated on the grid")
+
+        monkeypatch.setattr(Forcing, "__call__", no_call)
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        times = 1e-3 * np.arange(21)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, times)
+        want = sorted((name, float(t)) for name in ("f1", "f2", "f2 steady") for t in times)
+        assert sorted(calls) == want
+        integrate_ode(sysA, T=0.02, dt=1e-3)  # steps through the same 21 times
+        calls.clear()
+        assert weak_residual(sysA, f1, f2) <= 1e-6
+        assert sorted(calls) == want
+        assert all(type(t) is float for _, t in calls)
 
 
 class TestIntegration:
     def test_zero_forcing_stays_zero(self, grid, w16):
         phi0_1, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 4)
-        zero = lambda t: np.zeros(grid.shape)  # noqa: E731
+        zero = zero_forcing(grid)
         sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, np.array([0.0, 0.5]))
         integrate_ode(sys0, T=0.5, dt=1e-3)
         assert np.max(np.abs(sys0.C1)) == 0.0
@@ -468,7 +536,7 @@ class TestWeakResidual:
     def test_zero_everything(self, grid, w16):
         phi0_1, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 4)
-        zero = lambda t: np.zeros(grid.shape)  # noqa: E731
+        zero = zero_forcing(grid)
         sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, np.array([0.0, 0.1]))
         integrate_ode(sys0, T=0.1, dt=1e-3)
         assert weak_residual(sys0, zero, zero) == 0.0
