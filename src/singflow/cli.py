@@ -28,7 +28,6 @@ from singflow.spectral import (
     build_basis,
     galerkin_forcing,
     integrate_ode,
-    step_times,
     weak_residual,
 )
 from singflow.weight import harmonicity_residual, log_asymptotics_shell
@@ -124,21 +123,18 @@ def cmd_galerkin(cfg: RunConfig, out_dir: str) -> int:
     f1, f2 = galerkin_forcing(cfg.galerkin_forcing, w.grid, w.rho)
     os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid and basis could be built
     phi0_1, phi0_2 = initial_fields(cfg.family, cfg.family_params, w)
-    times = step_times(cfg.galerkin_t_final, cfg.galerkin_dt)
-    system = assemble_galerkin(phi0_1, phi0_2, w, basis, f1, f2, times)
-    integrate_ode(system, T=cfg.galerkin_t_final, dt=cfg.galerkin_dt)
+    system = assemble_galerkin(phi0_1, phi0_2, w, basis, f1, f2, cfg.galerkin_t_final, cfg.galerkin_dt)
+    integrate_ode(system)
 
     for name, M in (("A", system.A), ("B", system.B), ("C", system.C), ("D", system.D)):
         write_csv(os.path.join(out_dir, f"matrix_{name}.csv"), ("m", "l", "value"), _matrix_rows(M))
 
     N = system.N
     coeff_cols = ["t"] + [f"c1_{m}" for m in range(N)] + [f"c2_{m}" for m in range(N)]
-    coeff_rows = (
-        [t, *system.C1[i], *system.C2[i]] for i, t in enumerate(system.coeff_times)
-    )
+    coeff_rows = ([t, *system.C1[i], *system.C2[i]] for i, t in enumerate(system.times))
     write_csv(os.path.join(out_dir, "coefficients.csv"), coeff_cols, coeff_rows)
 
-    defect = weak_residual(system, f1, f2)
+    defect = weak_residual(system)
     write_json(
         os.path.join(out_dir, "weak_residual.json"),
         {

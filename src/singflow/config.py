@@ -13,7 +13,9 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
+from singflow.flow import INITIAL_FAMILIES
+from singflow.geometry import CURVE_KINDS, CurveGamma, TorusGrid, distance_to_curve
+from singflow.spectral import FORCING_PRESETS
 from singflow.weight import build_weight
 
 
@@ -204,13 +206,13 @@ def _validate(cfg: RunConfig, errors: list[str]):
         errors.append(f"[grid] n = {cfg.n}: must be a positive integer")
     if cfg.length <= 0:
         errors.append(f"[grid] length = {cfg.length}: must be positive")
-    if cfg.curve_kind not in ("axis_line", "circle"):
-        errors.append(f"[curve] kind = {cfg.curve_kind!r}: must be axis_line or circle")
+    if cfg.curve_kind not in CURVE_KINDS:
+        errors.append(f"[curve] kind = {cfg.curve_kind!r}: must be {' or '.join(CURVE_KINDS)}")
     if cfg.curve_kind == "circle" and not (0 < cfg.circle_radius < cfg.length / 2):
         errors.append(
             f"[curve] radius = {cfg.circle_radius}: must lie in (0, length/2) under periodicity"
         )
-    if cfg.family not in ("zero", "poly_cutoff", "trig", "poly_cutoff+trig"):
+    if cfg.family not in INITIAL_FAMILIES:
         errors.append(f"[flow] family = {cfg.family!r}: unknown initial-data family")
     if cfg.dt_policy not in ("fixed", "cfl"):
         errors.append(f"[flow] dt_policy = {cfg.dt_policy!r}: must be fixed or cfl")
@@ -224,8 +226,10 @@ def _validate(cfg: RunConfig, errors: list[str]):
                 errors.append(_off_grid("flow", name, value, cfg.dt))
     if cfg.solver_tol <= 0:
         errors.append(f"[weight] solver_tol = {cfg.solver_tol}: must be positive")
-    if cfg.galerkin_forcing not in ("trig_damped", "zero"):
-        errors.append(f"[galerkin] forcing = {cfg.galerkin_forcing!r}: must be trig_damped or zero")
+    if cfg.galerkin_forcing not in FORCING_PRESETS:
+        errors.append(
+            f"[galerkin] forcing = {cfg.galerkin_forcing!r}: must be {' or '.join(FORCING_PRESETS)}"
+        )
     if cfg.galerkin_N < 1:
         errors.append(f"[galerkin] N = {cfg.galerkin_N}: must be at least 1")
     if cfg.galerkin_dt <= 0 or cfg.galerkin_t_final <= 0:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from singflow.geometry import DistanceField, TorusGrid
+from singflow.geometry import TorusGrid
 from singflow.norms import hyperbolic_distance, log_integral_sq
 from singflow.operators import gradient, laplacian, rfft_wavevectors, stencil_symbol
 from singflow.weight import WeightField
@@ -110,6 +110,10 @@ def smooth_cutoff(rho: np.ndarray, L: float) -> np.ndarray:
     return t**3 * (t * (6.0 * t - 15.0) + 10.0)
 
 
+# the initial-data families that `initial_fields` implements
+INITIAL_FAMILIES = ("zero", "poly_cutoff", "trig", "poly_cutoff+trig")
+
+
 def initial_fields(family: str, params: dict, w: WeightField):
     grid = w.grid
     rho = w.rho
@@ -119,7 +123,7 @@ def initial_fields(family: str, params: dict, w: WeightField):
 
     wants_poly = family in ("poly_cutoff", "poly_cutoff+trig")
     wants_trig = family in ("trig", "poly_cutoff+trig")
-    if family not in ("zero", "poly_cutoff", "trig", "poly_cutoff+trig"):
+    if family not in INITIAL_FAMILIES:
         raise ValueError(f"unknown initial-data family {family!r}")
 
     if wants_poly:
@@ -140,24 +144,7 @@ def initial_fields(family: str, params: dict, w: WeightField):
             2.0 * np.pi * x2 / grid.length
         )
 
-    if wants_poly:
-        validate_vanishing_order(phi1, rho, alpha, abs(float(params.get("c", 1.0))))
     return phi1, phi2
-
-
-def validate_vanishing_order(phi1: np.ndarray, rho: DistanceField, alpha: float, bound: float):
-    """Reject initial phi1 exceeding bound * rho^(2 alpha + 2) on three inner shells."""
-    L = rho.grid.length
-    for lo, hi in ((0.0, 0.06), (0.06, 0.12), (0.12, 0.2)):
-        shell = (rho.rho_unclamped > lo * L) & (rho.rho_unclamped <= hi * L)
-        if not np.any(shell):
-            continue
-        ratio = np.max(np.abs(phi1[shell]) / rho.rho_unclamped[shell] ** (2.0 * alpha + 2.0))
-        if ratio > bound * 1.0001 + 1e-12:
-            raise ValueError(
-                f"initial phi1 violates the rho^(2 alpha + 2) vanishing order "
-                f"(shell ({lo}, {hi}]: ratio {ratio:.3g} > {bound:.3g})"
-            )
 
 
 # Nodes per slab of whole axis-0 planes: max(1, SLAB_NODES // n^2) planes, so

@@ -26,9 +26,9 @@ class TorusGrid:
 
     def __post_init__(self):
         if self.n <= 0:
-            raise ValueError("nodes_per_axis must be positive")
+            raise ValueError("n must be positive")
         if self.length <= 0:
-            raise ValueError("length_per_axis must be positive")
+            raise ValueError("length must be positive")
 
     @property
     def spacing(self) -> float:
@@ -60,13 +60,14 @@ class TorusGrid:
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusGrid) and self.n == other.n and self.length == other.length
-
 
 def wrap_delta(d: np.ndarray | float, L: float):
     """Signed periodic displacement mapped into [-L/2, L/2)."""
     return (np.asarray(d) + 0.5 * L) % L - 0.5 * L
+
+
+# the curve kinds that `distance_to_curve` implements
+CURVE_KINDS = ("axis_line", "circle")
 
 
 @dataclass

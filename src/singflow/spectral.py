@@ -151,6 +151,10 @@ class Forcing:
         return np.array(samples, dtype=float).reshape(len(times), len(self.terms))
 
 
+# the presets that `galerkin_forcing` implements
+FORCING_PRESETS = ("trig_damped", "zero")
+
+
 def galerkin_forcing(name: str, grid, rho) -> tuple[Forcing, Forcing]:
     """Named forcing presets for the linearized solver."""
     x1, x2, x3 = (np.broadcast_to(c, grid.shape) for c in grid.coords)
@@ -176,15 +180,17 @@ class GalerkinSystem:
     weight: WeightField
     phi0_1: np.ndarray
     phi0_2: np.ndarray
+    f1: Forcing
+    f2: Forcing
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     D: np.ndarray
-    times: np.ndarray  # load sample times
+    dt: float
+    times: np.ndarray  # step_times(T, dt): the load samples and the ODE's steps
     F1: np.ndarray  # (len(times), N)
     F2: np.ndarray
-    coeff_times: np.ndarray | None = None
-    C1: np.ndarray | None = None  # (steps+1, N)
+    C1: np.ndarray | None = None  # (len(times), N)
     C2: np.ndarray | None = None
 
     @property
@@ -203,9 +209,10 @@ def assemble_galerkin(
     basis: Basis,
     f1: Forcing,
     f2: Forcing,
-    times: np.ndarray,
+    T: float,
+    dt: float,
 ) -> GalerkinSystem:
-    """Project the linearized system onto the basis, with loads sampled at `times`.
+    """Project the linearized system onto the basis, with loads sampled at `step_times(T, dt)`.
 
     Each matrix entry is the grid sum of the pointwise products that
     `operators.exact_inner` would sum, reduced by numpy's pairwise sum along
@@ -221,7 +228,7 @@ def assemble_galerkin(
     vol = grid.cell_volume
     s = grid.spacing
     N = basis.size
-    times = np.asarray(times, dtype=float)
+    times = step_times(T, dt)
 
     wb = build_weighted_basis(basis, w, phi0_2)
     wtil = w.metric_weight(phi0_2).ravel()
@@ -286,10 +293,13 @@ def assemble_galerkin(
         weight=w,
         phi0_1=phi0_1,
         phi0_2=phi0_2,
+        f1=f1,
+        f2=f2,
         A=A,
         B=B,
         C=C,
         D=D,
+        dt=dt,
         times=times,
         F1=loads(f1, wpsi1),
         F2=loads(f2, psi2),
@@ -303,25 +313,25 @@ class OdeBlowupError(RuntimeError):
 
 
 def step_times(T: float, dt: float) -> np.ndarray:
-    """0, dt, ..., round(T / dt) dt: the times `integrate_ode` steps through.
+    """0, dt, ..., round(T / dt) dt: a Galerkin system's time grid.
 
-    Loads sampled at these times leave no step time to `np.interp`'s clamp
-    at the last sample.
+    `assemble_galerkin` samples the loads at these times and `integrate_ode`
+    steps through them, so every step reads a load sample of its own.
     """
     return dt * np.arange(int(round(T / dt)) + 1)
 
 
-def integrate_ode(system: GalerkinSystem, T: float, dt: float) -> GalerkinSystem:
-    """Implicit trapezoidal integration of the 2N-dimensional system from zero data."""
+def integrate_ode(system: GalerkinSystem) -> GalerkinSystem:
+    """Implicit trapezoidal integration of the 2N-dimensional system from zero data.
+
+    Steps through `system.times` with `system.dt`; step i reads the load rows
+    i and i + 1 as they were sampled.
+    """
     N = system.N
     M = system.block_matrix()
-
-    t_grid = step_times(T, dt)
-    steps = len(t_grid) - 1
-    F = np.zeros((steps + 1, 2 * N))
-    for m in range(N):
-        F[:, m] = np.interp(t_grid, system.times, system.F1[:, m])
-        F[:, N + m] = np.interp(t_grid, system.times, system.F2[:, m])
+    dt = system.dt
+    F = np.concatenate([system.F1, system.F2], axis=1)
+    steps = len(system.times) - 1
 
     eye = np.eye(2 * N)
     lhs_inv = np.linalg.inv(eye + 0.5 * dt * M)
@@ -336,7 +346,6 @@ def integrate_ode(system: GalerkinSystem, T: float, dt: float) -> GalerkinSystem
             raise OdeBlowupError(i + 1, float(np.max(np.abs(finite))) if finite.size else float("nan"))
         traj[i + 1] = c
 
-    system.coeff_times = t_grid
     system.C1 = traj[:, :N]
     system.C2 = traj[:, N:]
     return system
@@ -349,20 +358,15 @@ def reconstruct(system: GalerkinSystem, c1: np.ndarray, c2: np.ndarray) -> tuple
     return k1, k2
 
 
-def weak_residual(
-    system: GalerkinSystem,
-    f1: Forcing,
-    f2: Forcing,
-    test_functions: tuple[Basis, Basis] | None = None,
-) -> float:
+def weak_residual(system: GalerkinSystem, test_functions: tuple[Basis, Basis] | None = None) -> float:
     """Max defect of the integrated system's two weak-form identities over a set of test functions.
 
-    The identities are checked at 8 evenly spread steps of `coeff_times`
-    (every step when there are fewer), with trapezoidal time integrals on
-    those times. Test functions default to the system's own basis fields
-    (time independent, so the time-derivative transfer terms vanish); pass a
-    larger (basis, weighted basis) pair to probe directions outside the
-    solution span.
+    The identities are those of the system's own forcings `f1` and `f2`,
+    checked at 8 evenly spread steps of `times` (every step when there are
+    fewer), with trapezoidal time integrals on those times. Test functions
+    default to the system's own basis fields (time independent, so the
+    time-derivative transfer terms vanish); pass a larger (basis, weighted
+    basis) pair to probe directions outside the solution span.
 
     The stiffness, coupling and load rows are linear in (k1, k2, f1(t),
     f2(t)), and so is the trapezoid rule, so the integral of those rows up to
@@ -408,7 +412,8 @@ def weak_residual(
         load2 = vol * (psi2 @ l2.ravel())
         return stiff1 + coup1 - load1, stiff2 + coup2 - load2
 
-    times = system.coeff_times
+    f1, f2 = system.f1, system.f2
+    times = system.times
     n_steps = len(times) - 1
     check_idx = sorted(set(np.linspace(1, n_steps, min(8, n_steps)).astype(int).tolist()))
     half_dt = 0.5 * np.diff(times)
@@ -440,7 +445,7 @@ def energy_estimate_lhs(system: GalerkinSystem) -> float:
     """Measured left side of the Galerkin energy estimate.
 
     max_t (||rho^-a k1||^2 + ||k2||^2) plus the time integral of the weighted
-    gradient energies, trapezoidal on `coeff_times`.
+    gradient energies, trapezoidal on the system's `times`.
 
     k1 and k2 are the coefficient rows C1, C2 times the basis fields, so each
     energy is a quadratic form c^T M c of one coefficient row: the masses with
@@ -463,7 +468,7 @@ def energy_estimate_lhs(system: GalerkinSystem) -> float:
     mass1 = vol * ((psi1 * (rho ** (-2 * w.alpha)).ravel()) @ psi1.T)
     mass = energy(system.C1, mass1) + energy(system.C2, vol * (psi2 @ psi2.T))
     grad = energy(system.C1, system.A) + energy(system.C2, vol * (gpsi2 @ gpsi2.T))
-    return float(np.max(mass)) + float(np.trapezoid(grad, system.coeff_times))
+    return float(np.max(mass)) + float(np.trapezoid(grad, system.times))
 
 
 def energy_estimate_rhs(w: WeightField, f1, f2, times: np.ndarray) -> float:

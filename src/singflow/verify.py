@@ -205,10 +205,7 @@ def check_galerkin_oracles(cfg: RunConfig) -> list[dict]:
     phi0_1, _ = initial_fields("poly_cutoff", {"c": 0.1}, w)
     _, phi0_2 = initial_fields("trig", {"a": 0.2, "b": 0.15}, w)
     f1, f2 = galerkin_forcing("trig_damped", w.grid, w.rho)
-    times = step_times(T, dt)
-    system = assemble_galerkin(
-        phi0_1, phi0_2, w, basis=build_basis(w.grid, 4), f1=f1, f2=f2, times=times
-    )
+    system = assemble_galerkin(phi0_1, phi0_2, w, basis=build_basis(w.grid, 4), f1=f1, f2=f2, T=T, dt=dt)
     A, B, C, D = _brute_force_matrices(system)
     diff = max(
         float(np.max(np.abs(system.A - A))),
@@ -218,13 +215,13 @@ def check_galerkin_oracles(cfg: RunConfig) -> list[dict]:
     )
     out = [verdict("galerkin_matrix_oracle", diff <= 1e-12, diff, 0.0, 1e-12)]
 
-    integrate_ode(system, T=T, dt=dt)
+    integrate_ode(system)
     ref = _rk4_reference(system, T=T, dt=1e-5)
     got = np.concatenate([system.C1[-1], system.C2[-1]])
     ode_diff = float(np.max(np.abs(got - ref)))
     out.append(verdict("galerkin_ode_vs_rk4", ode_diff <= 1e-6, ode_diff, 0.0, 1e-6))
 
-    defect = weak_residual(system, f1, f2)
+    defect = weak_residual(system)
     out.append(verdict("galerkin_weak_residual", defect <= 1e-6, defect, 0.0, 1e-6))
     return out
 
@@ -289,8 +286,8 @@ def check_energy_estimate(cfg: RunConfig) -> list[dict]:
         phi0_1, phi0_2 = initial_fields(family, params, w)
         rhs = energy_estimate_rhs(w, f1, f2, times)  # the same for every N
         for basis in bases:
-            system = assemble_galerkin(phi0_1, phi0_2, w, basis=basis, f1=f1, f2=f2, times=times)
-            integrate_ode(system, T=T, dt=dt)
+            system = assemble_galerkin(phi0_1, phi0_2, w, basis=basis, f1=f1, f2=f2, T=T, dt=dt)
+            integrate_ode(system)
             lhs = energy_estimate_lhs(system)
             if not (np.isfinite(lhs) and rhs > 0):
                 return [verdict("energy_estimate_spread", False, math.inf, 2.0, 0.0)]

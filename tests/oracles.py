@@ -191,10 +191,10 @@ class GalerkinStates:
         self.system = system
 
     def __len__(self) -> int:
-        return len(self.system.coeff_times)
+        return len(self.system.times)
 
     def __iter__(self):
-        for i, t in enumerate(self.system.coeff_times):
+        for i, t in enumerate(self.system.times):
             k1, k2 = reconstruct(self.system, self.system.C1[i], self.system.C2[i])
             yield float(t), k1, k2
 
@@ -294,13 +294,13 @@ def energy_estimate_loop(system: GalerkinSystem, f1, f2) -> tuple[float, float]:
             grid_inner(wtil * np.sum(gk1 * gk1, axis=0), ones, vol)
             + grid_inner(np.sum(gk2 * gk2, axis=0), ones, vol)
         )
-    lhs = max_mass + float(np.trapezoid(grad_series, system.coeff_times))
+    lhs = max_mass + float(np.trapezoid(grad_series, system.times))
 
     rhs_series = []
-    for t in system.coeff_times:
+    for t in system.times:
         f1_t, f2_t = f1(float(t)), f2(float(t))
         rhs_series.append(grid_inner(rho_load * f1_t, f1_t, vol) + grid_inner(f2_t, f2_t, vol))
-    rhs = float(np.trapezoid(rhs_series, system.coeff_times))
+    rhs = float(np.trapezoid(rhs_series, system.times))
     return lhs, rhs
 
 

@@ -331,10 +331,9 @@ class TestBarrier:
             f2 = Forcing([(np.zeros(grid.shape), lambda t: 1.0)])
 
             basis = build_basis(grid, 4)
-            times = np.arange(0.0, 0.1 + 1e-12, 1e-3)
             z = np.zeros(grid.shape)
-            sysN = assemble_galerkin(z, z, w, basis, f1, f2, times)
-            integrate_ode(sysN, T=0.1, dt=1e-3)
+            sysN = assemble_galerkin(z, z, w, basis, f1, f2, T=0.1, dt=1e-3)
+            integrate_ode(sysN)
             k1, _ = reconstruct(sysN, sysN.C1[-1], sysN.C2[-1])
             r = projection_coordinate_field(grid, AXIS, (0.5, 0.5, 0.5))
             rep = barrier_check(k1, rho, r, 2.5, 0.5, 1.5)

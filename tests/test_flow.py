@@ -27,7 +27,6 @@ from singflow.flow import (
     slab_stencil,
     steady_residual,
     step,
-    validate_vanishing_order,
 )
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.norms import theta_field
@@ -61,11 +60,6 @@ class TestInitState:
         rho = w16.rho.rho_unclamped
         inner = rho <= 0.2
         assert np.max(np.abs(phi1[inner]) / rho[inner] ** 5.0) <= 1.0 + 1e-12
-
-    def test_vanishing_order_rejection(self, w16):
-        bad = w16.rho.rho_unclamped ** 2  # order 2, far below 2 alpha + 2 = 5
-        with pytest.raises(ValueError, match="vanishing order"):
-            validate_vanishing_order(bad, w16.rho, w16.alpha, 1.0)
 
     def test_trig_initial_rate(self, w16):
         grid = w16.grid

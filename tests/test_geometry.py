@@ -76,10 +76,18 @@ class TestGrid:
         assert rho.rho_unclamped.min() == pytest.approx(g.spacing / np.sqrt(2), rel=1e-12)
 
     def test_invalid_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be positive$"):
             TorusGrid(0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^length must be positive$"):
             TorusGrid(8, -2.0)
+
+    def test_grids_equal_by_n_and_length(self):
+        grid = TorusGrid(16, 1.0)
+        assert grid == TorusGrid(16, 1.0)
+        assert grid != TorusGrid(32, 1.0)
+        assert grid != TorusGrid(16, 2.0)
+        assert grid != (16, 1.0)
+        assert TorusGrid.__hash__ is None
 
 
 class TestDistanceToCurve:

@@ -29,6 +29,7 @@ from singflow.spectral import (
     energy_estimate_rhs,
     integrate_ode,
     reconstruct,
+    step_times,
     weak_residual,
 )
 from singflow.weight import build_weight, weight_power
@@ -314,8 +315,7 @@ def system4(grid, w16):
     phi0_1, phi0_2 = smooth_phi0(grid)
     basis = build_basis(grid, 4)
     f1, f2 = forcing(grid, w16.rho)
-    times = np.linspace(0.0, 0.3, 301)
-    return assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
+    return assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, T=0.3, dt=1e-3)
 
 
 class TestAssembly:
@@ -323,9 +323,7 @@ class TestAssembly:
         _, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 6)
         f1, f2 = forcing(grid, w16.rho)
-        sys0 = assemble_galerkin(
-            np.zeros(grid.shape), phi0_2, w16, basis, f1, f2, np.array([0.0, 0.1])
-        )
+        sys0 = assemble_galerkin(np.zeros(grid.shape), phi0_2, w16, basis, f1, f2, T=0.1, dt=0.1)
         assert np.max(np.abs(sys0.B)) < 1e-14
         assert np.max(np.abs(sys0.D)) < 1e-14
         lam_grad = np.array([grad_symbol(mode_wavevector(f, grid), grid) for f in basis.fields])
@@ -347,9 +345,7 @@ class TestAssembly:
     def test_matrices_match_exact_inner_to_rounding(self, grid, w16, N):
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        sysN = assemble_galerkin(
-            phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, np.array([0.0, 0.1])
-        )
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T=0.1, dt=0.1)
         # a summation order other than fsum's moves an entry by a few eps times
         # the sum of its |products|; D at N = 4 cancels 31-fold, so a bound in
         # ulps of the largest entry would reject round-off
@@ -364,9 +360,7 @@ class TestAssembly:
         # entry summed on its own
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        sysN = assemble_galerkin(
-            phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, np.array([0.0, 0.1])
-        )
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T=0.1, dt=0.1)
         for got, want in zip((sysN.A, sysN.B, sysN.C, sysN.D), row_by_row_matrices(sysN)):
             assert np.array_equal(got, want)
         assert np.array_equal(sysN.A, sysN.A.T)
@@ -377,8 +371,11 @@ class TestAssembly:
         # one sample time, N and N + 1 of them, and 301
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        times = np.linspace(0.0, 0.3, {"1": 1, "N": N, "N+1": N + 1, "301": 301}[count])
-        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
+        samples = {"1": 1, "N": N, "N+1": N + 1, "301": 301}[count]
+        T, dt = (0.3, 0.3 / (samples - 1)) if samples > 1 else (0.0, 0.3)
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T, dt)
+        times = step_times(T, dt)
+        assert len(times) == samples
         assert np.array_equal(sysN.times, times)
         vol = grid.cell_volume
         wpsi1 = w16.metric_weight(phi0_2) * sysN.wbasis.fields
@@ -419,13 +416,13 @@ class TestAssembly:
 
         monkeypatch.setattr(Forcing, "__call__", no_call)
         phi0_1, phi0_2 = smooth_phi0(grid)
-        times = 1e-3 * np.arange(21)
-        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, times)
-        want = sorted((name, float(t)) for name in ("f1", "f2", "f2 steady") for t in times)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, T=0.02, dt=1e-3)
+        assert len(sysA.times) == 21
+        want = sorted((name, float(t)) for name in ("f1", "f2", "f2 steady") for t in sysA.times)
         assert sorted(calls) == want
-        integrate_ode(sysA, T=0.02, dt=1e-3)  # steps through the same 21 times
+        integrate_ode(sysA)
         calls.clear()
-        assert weak_residual(sysA, f1, f2) <= 1e-6
+        assert weak_residual(sysA) <= 1e-6
         assert sorted(calls) == want
         assert all(type(t) is float for _, t in calls)
 
@@ -435,32 +432,37 @@ class TestIntegration:
         phi0_1, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 4)
         zero = zero_forcing(grid)
-        sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, np.array([0.0, 0.5]))
-        integrate_ode(sys0, T=0.5, dt=1e-3)
+        sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, T=0.5, dt=1e-3)
+        integrate_ode(sys0)
         assert np.max(np.abs(sys0.C1)) == 0.0
         assert np.max(np.abs(sys0.C2)) == 0.0
 
     def test_scalar_trapezoid_closed_form(self):
         # c' + lam c = 1, c(0) = 0 has c(t) = (1 - e^{-lam t})/lam; set up a
         # 1x1 "system" through the same integrator
+        times = step_times(1.0, 1e-4)
         for lam in (0.7, 1.0, 2.3):
             sys1 = GalerkinSystem(
                 basis=None, wbasis=None, weight=None,  # unused by the integrator
-                phi0_1=None, phi0_2=None,
+                phi0_1=None, phi0_2=None, f1=None, f2=None,
                 A=np.array([[lam]]), B=np.zeros((1, 1)),
                 C=np.array([[1.0]]), D=np.zeros((1, 1)),
-                times=np.array([0.0, 1.0]),
-                F1=np.ones((2, 1)), F2=np.zeros((2, 1)),
+                dt=1e-4, times=times,
+                F1=np.ones((len(times), 1)), F2=np.zeros((len(times), 1)),
             )
-            integrate_ode(sys1, T=1.0, dt=1e-4)
-            t = sys1.coeff_times
+            integrate_ode(sys1)
+            t = sys1.times
             exact = (1.0 - np.exp(-lam * t)) / lam
             assert np.max(np.abs(sys1.C1[:, 0] - exact)) < 1e-8
 
-    def test_matches_rk4_oracle(self, system4):
-        integrate_ode(system4, T=0.3, dt=2e-4)
-        oracle = rk4_oracle(system4, T=0.3, dt=1e-5)
-        got = np.concatenate([system4.C1[-1], system4.C2[-1]])
+    def test_matches_rk4_oracle(self, grid, w16):
+        # the loads sampled at the ODE's 2e-4 steps; the oracle interpolates them
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w16.rho)
+        sys4 = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, T=0.3, dt=2e-4)
+        integrate_ode(sys4)
+        oracle = rk4_oracle(sys4, T=0.3, dt=1e-5)
+        got = np.concatenate([sys4.C1[-1], sys4.C2[-1]])
         assert np.max(np.abs(got - oracle)) < 1e-6
 
     def test_battery_rk4_reference_matches_scalar_interp(self, system4):
@@ -479,22 +481,23 @@ class TestIntegration:
 
     def test_blowup_reported(self):
         # A close to -2/dt: the trapezoidal growth factor is ~ -4e7 per step
+        times = step_times(10.0, 0.025)
         sys_bad = GalerkinSystem(
-            basis=None, wbasis=None, weight=None, phi0_1=None, phi0_2=None,
+            basis=None, wbasis=None, weight=None, phi0_1=None, phi0_2=None, f1=None, f2=None,
             A=np.array([[-80.0000004]]), B=np.zeros((1, 1)),
             C=np.array([[1.0]]), D=np.zeros((1, 1)),
-            times=np.array([0.0, 10.0]),
-            F1=np.ones((2, 1)), F2=np.zeros((2, 1)),
+            dt=0.025, times=times,
+            F1=np.ones((len(times), 1)), F2=np.zeros((len(times), 1)),
         )
         with pytest.raises(OdeBlowupError) as err:
             with np.errstate(all="ignore"):
-                integrate_ode(sys_bad, T=10.0, dt=0.025)
+                integrate_ode(sys_bad)
         assert err.value.step >= 1
 
 
 class TestReconstruct:
     def test_zero_coefficients(self, system4):
-        integrate_ode(system4, T=0.3, dt=1e-3)
+        integrate_ode(system4)
         k1, k2 = reconstruct(system4, system4.C1[0], system4.C2[0])
         assert np.max(np.abs(k1)) == 0.0
         assert np.max(np.abs(k2)) == 0.0
@@ -503,20 +506,19 @@ class TestReconstruct:
         system4.C1 = np.zeros((1, system4.N))
         system4.C2 = np.zeros((1, system4.N))
         system4.C1[0, 2] = 1.0
-        system4.coeff_times = np.array([0.0])
         k1, k2 = reconstruct(system4, system4.C1[0], system4.C2[0])
         assert np.allclose(k1, system4.wbasis.fields[2])
         assert np.max(np.abs(k2)) == 0.0
-        integrate_ode(system4, T=0.3, dt=1e-3)  # restore for later tests
+        integrate_ode(system4)  # restore for later tests
 
     def test_galerkin_states_follow_reconstruct(self, system4):
-        integrate_ode(system4, T=0.3, dt=1e-3)
+        integrate_ode(system4)
         states = GalerkinStates(system4)
-        assert len(states) == len(system4.coeff_times) == 301
+        assert len(states) == len(system4.times) == 301
         count = 0
         for i, (t, k1, k2) in enumerate(states):
             want1, want2 = reconstruct(system4, system4.C1[i], system4.C2[i])
-            assert t == float(system4.coeff_times[i])
+            assert t == float(system4.times[i])
             assert np.array_equal(k1, want1) and np.array_equal(k2, want2)
             count += 1
         assert count == len(states)
@@ -537,18 +539,17 @@ class TestWeakResidual:
         phi0_1, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 4)
         zero = zero_forcing(grid)
-        sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, np.array([0.0, 0.1]))
-        integrate_ode(sys0, T=0.1, dt=1e-3)
-        assert weak_residual(sys0, zero, zero) == 0.0
+        sys0 = assemble_galerkin(phi0_1, phi0_2, w16, basis, zero, zero, T=0.1, dt=1e-3)
+        integrate_ode(sys0)
+        assert weak_residual(sys0) == 0.0
 
     def test_galerkin_solution_satisfies_weak_form(self, grid, w16):
         phi0_1, phi0_2 = smooth_phi0(grid)
         basis = build_basis(grid, 4)
         f1, f2 = forcing(grid, w16.rho)
-        times = np.arange(0.0, 0.1 + 1e-12, 1e-3)
-        sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
-        integrate_ode(sysA, T=0.1, dt=1e-3)
-        defect = weak_residual(sysA, f1, f2)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, T=0.1, dt=1e-3)
+        integrate_ode(sysA)
+        defect = weak_residual(sysA)
         assert defect <= 1e-6
 
     def test_doubling_N_reduces_out_of_span_residual(self, grid, w16):
@@ -559,18 +560,17 @@ class TestWeakResidual:
         test_wb = build_weighted_basis(test_basis, w16, phi0_2)
         defects = {}
         for N in (4, 8):
-            times = np.arange(0.0, 0.1 + 1e-12, 1e-3)
-            sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
-            integrate_ode(sysN, T=0.1, dt=1e-3)
-            defects[N] = weak_residual(sysN, f1, f2, test_functions=(test_basis, test_wb))
+            sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T=0.1, dt=1e-3)
+            integrate_ode(sysN)
+            defects[N] = weak_residual(sysN, test_functions=(test_basis, test_wb))
         assert defects[8] < defects[4]
 
     def test_requires_an_integrated_system(self, grid, w16):
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, np.array([0.0]))
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, T=0.0, dt=1e-3)
         with pytest.raises(ValueError, match="integrate_ode must run"):
-            weak_residual(sysA, f1, f2)
+            weak_residual(sysA)
 
     @pytest.mark.parametrize("name", ["C1", "C2"])
     def test_perturbed_coefficients_between_checks_raise_defect(self, grid, w16, name):
@@ -578,14 +578,12 @@ class TestWeakResidual:
         # the identities only through the time integrals of the coefficients
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        sysA = assemble_galerkin(
-            phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, 1e-3 * np.arange(101)
-        )
-        integrate_ode(sysA, T=0.1, dt=1e-3)
-        clean = weak_residual(sysA, f1, f2)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, T=0.1, dt=1e-3)
+        integrate_ode(sysA)
+        clean = weak_residual(sysA)
         C = getattr(sysA, name)
         C[5, 1] += 1e-2 * np.max(np.abs(C))
-        assert weak_residual(sysA, f1, f2) >= 1000.0 * clean
+        assert weak_residual(sysA) >= 1000.0 * clean
 
     @pytest.mark.parametrize(
         "T, wider_tests",
@@ -595,15 +593,14 @@ class TestWeakResidual:
     def test_matches_entry_by_entry_loop(self, grid, w16, T, wider_tests):
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        times = np.arange(0.0, T + 1e-12, 1e-3)
-        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, times)
-        integrate_ode(sysA, T=T, dt=1e-3)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, 4), f1, f2, T=T, dt=1e-3)
+        integrate_ode(sysA)
         tests = None
         if wider_tests:
             test_basis = build_basis(grid, 8)
             tests = (test_basis, build_weighted_basis(test_basis, w16, phi0_2))
         want, rows = loop_weak_residual(GalerkinStates(sysA), sysA, f1, f2, tests)
-        got = weak_residual(sysA, f1, f2, test_functions=tests)
+        got = weak_residual(sysA, test_functions=tests)
         assert abs(got - want) <= 1e-13 * np.max(np.abs(rows))
         # the grid-state oracle that the cross-solver test uses, held to the same loop
         oracle = state_weak_residual(GalerkinStates(sysA), sysA, f1, f2, tests)
@@ -616,8 +613,7 @@ class TestWeakResidual:
         basis = build_basis(grid, 4)
         f1, f2 = forcing(grid, w16.rho)
         dt = 1e-4  # explicit drift under CN diffusion needs dt well below 2/max|v|^2
-        times = np.arange(0.0, 0.1 + 1e-12, dt)
-        sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
+        sysA = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, T=0.1, dt=dt)
         states = list(linearized_imex_states(phi0_1, phi0_2, w16, f1, f2, T=0.1, dt=dt))
         defect = state_weak_residual(states, sysA, f1, f2)
         # scale set by the load size ~ O(1); constant measured at n in {8,16}
@@ -631,11 +627,10 @@ class TestEnergyEstimate:
         ratios = []
         for N in (4, 8, 16):
             basis = build_basis(grid, N)
-            times = np.arange(0.0, 0.3 + 1e-12, 2e-3)
-            sysN = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, times)
-            integrate_ode(sysN, T=0.3, dt=2e-3)
+            sysN = assemble_galerkin(phi0_1, phi0_2, w16, basis, f1, f2, T=0.3, dt=2e-3)
+            integrate_ode(sysN)
             lhs = energy_estimate_lhs(sysN)
-            rhs = energy_estimate_rhs(w16, f1, f2, sysN.coeff_times)
+            rhs = energy_estimate_rhs(w16, f1, f2, sysN.times)
             assert np.isfinite(lhs) and rhs > 0
             ratios.append(lhs / rhs)
         assert max(ratios) <= 2.0 * min(ratios)
@@ -644,10 +639,9 @@ class TestEnergyEstimate:
     def test_sides_match_the_per_state_loop(self, grid, w16, N):
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
-        times = np.arange(0.0, 0.3 + 1e-12, 2e-3)
-        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, times)
-        integrate_ode(sysN, T=0.3, dt=2e-3)
-        got = energy_estimate_lhs(sysN), energy_estimate_rhs(w16, f1, f2, sysN.coeff_times)
+        sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T=0.3, dt=2e-3)
+        integrate_ode(sysN)
+        got = energy_estimate_lhs(sysN), energy_estimate_rhs(w16, f1, f2, sysN.times)
         want = energy_estimate_loop(sysN, f1, f2)
         for side, reference in zip(got, want):
             assert abs(side - reference) <= 1e-13 * abs(reference)
