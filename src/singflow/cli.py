@@ -156,12 +156,15 @@ def _load_series(run_dir: str):
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             cols = {name: [] for name in header}
-            try:
-                for line in fh:
-                    for name, val in zip(header, line.strip().split(",")):
+            for lineno, line in enumerate(fh, start=2):
+                values = line.strip().split(",")
+                try:
+                    if len(values) != len(header):
+                        raise ValueError(f"{len(values)} fields where the header has {len(header)}")
+                    for name, val in zip(header, values):
                         cols[name].append(float(val))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         for name, vals in cols.items():
             out.setdefault(name, np.asarray(vals))
     return out

@@ -187,10 +187,13 @@ class Lane:
 
 
 class SlabWorkspace:
-    """Slabs, lanes and output arrays of the fused kernels; reach it through `WeightField.slab_workspace`.
+    """Slabs, lanes and output arrays of the fused kernels and the Galerkin assembly's row blocks.
 
-    `slabs` lists the axis-0 plane ranges the kernels walk. `lanes` holds one
-    `Lane` per thread that runs them, `LANES` on a grid of any size. With
+    Reach it through `WeightField.slab_workspace`. `slabs` lists the axis-0
+    plane ranges the kernels walk. `lanes` holds one `Lane` per thread that
+    runs them, `LANES` on a grid of any size; `spectral.assemble_galerkin`
+    hands its row blocks to the same lanes through `map`, each lane keyed to
+    two block buffers the assembly owns. With
     `LANES == 2` the workspace has one worker thread, on a one-thread pool
     made on first use: it runs the second lane of `map` and the jobs of
     `submit`. Each lane writes only to its own scratch and to buffers the

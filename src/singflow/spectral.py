@@ -216,13 +216,22 @@ def assemble_galerkin(
 
     Each matrix entry is the grid sum of the pointwise products that
     `operators.exact_inner` would sum, reduced by numpy's pairwise sum along
-    one row of an (N, n^3) work buffer instead of by fsum: A and C one row
-    per pass, B and D one column per pass. A and the gradient part of C are
-    symmetric bit for bit (each pointwise product commutes), so only their
-    entries with l >= m are summed, and mirrored. The loads never evaluate a
-    forcing on the grid: each term's space is projected once, the same
-    pairwise sum of products in the same buffer, and load row j is the sum
-    over the terms of profile_i(t_j) times that projection.
+    one row of a block of products instead of by fsum. A and the gradient
+    part of C are symmetric bit for bit (each pointwise product commutes), so
+    only their entries with l >= m are summed, and mirrored. The loads never
+    evaluate a forcing on the grid: each term's space is projected once, the
+    same pairwise sum of products, and load row j is the sum over the terms
+    of profile_i(t_j) times that projection.
+
+    The products are formed in blocks of at most ceil(N / 4) rows, handed to
+    the lanes of `w.slab_workspace.map`: row m's l >= m entries of A and of
+    C's gradient part, a block of columns of C's wtil |grad phi0_1|^2 part
+    (psi2_l wtil |grad phi0_1|^2 formed once, then summed against every
+    psi2_m), column l of B and of D (the column's field built once, then its
+    products block by block), and each load term's projection. Each lane forms its blocks in
+    two buffers of its own, made here before the hand-out, so 2 LANES
+    ceil(N / 4) rows in all. A row's sum does not depend on the block or the
+    lane that formed it, so every entry has the same bits for any lane count.
     """
     grid = w.grid
     vol = grid.cell_volume
@@ -239,48 +248,77 @@ def assemble_galerkin(
     psi2 = basis.fields.reshape(N, -1)
     gpsi2 = basis.grads.reshape(N, 3, -1)
     gpsi1 = wb.grads.reshape(N, 3, -1)
-    acc = np.empty_like(psi2)
-    tmp = np.empty_like(psi2)
-
-    def grad_dot(grads, m):
-        """acc[l] = grads[l] . grads[m] pointwise for l >= m, summed over axes 0, 1, 2 in order."""
-        out, scratch = acc[m:], tmp[m:]
-        np.multiply(grads[m:, 0], grads[m, 0], out=out)
-        for ax in (1, 2):
-            np.multiply(grads[m:, ax], grads[m, ax], out=scratch)
-            np.add(out, scratch, out=out)
-        return out
+    wpsi1 = wtil * wb.fields.reshape(N, -1)
 
     A = np.empty((N, N))
     B = np.empty((N, N))
-    C = np.empty((N, N))
-    D = np.empty((N, N))
+    C_pot = np.empty((N, N))  # (wtil |grad phi0_1|^2 psi2_l, psi2_m)
     C_grad = np.empty((N, N))  # -(Lap psi2_l, psi2_m) written through the adjoint identity
-    for m in range(N):
-        A[m, m:] = np.sum(np.multiply(grad_dot(gpsi1, m), wtil, out=acc[m:]), axis=1) * vol
-        C_grad[m, m:] = np.sum(grad_dot(gpsi2, m), axis=1) * vol
+    D = np.empty((N, N))
+    projections = [np.empty((len(f.terms), N)) for f in (f1, f2)]
+
+    # blocks of at most h rows, and each lane's two block buffers, made here so
+    # the lanes allocate nothing
+    h = -(-N // 4)
+    spans = [(lo, min(lo + h, N)) for lo in range(0, N, h)]
+    ws = w.slab_workspace
+    block = (h, psi2.shape[1])
+    buffers = {id(lane): (np.empty(block), np.empty(block)) for lane in ws.lanes}
+
+    def grad_dot(a, b, out, scratch):
+        """out = a . b pointwise over the gradient axis (second to last), added in axis order."""
+        np.multiply(a[..., 0, :], b[..., 0, :], out=out)
+        for ax in (1, 2):
+            np.multiply(a[..., ax, :], b[..., ax, :], out=scratch)
+            np.add(out, scratch, out=out)
+        return out
+
+    def sums(out, rows, field):
+        """vol times the pairwise sum of each row of rows * field, the products formed in out."""
+        return np.sum(np.multiply(rows, field, out=out[: len(rows)]), axis=1) * vol
+
+    def stiffness(m, lo, hi, out, scratch):
+        """A[m, l] and C_grad[m, l] for l in lo .. hi - 1, all l >= m."""
+        out, scratch = out[: hi - lo], scratch[: hi - lo]
+        A[m, lo:hi] = sums(out, grad_dot(gpsi1[lo:hi], gpsi1[m], out, scratch), wtil)
+        C_grad[m, lo:hi] = np.sum(grad_dot(gpsi2[lo:hi], gpsi2[m], out, scratch), axis=1) * vol
+
+    def potential(lo, hi, out, scratch):
+        """Columns lo .. hi - 1 of C_pot, psi2_l wtil |grad phi0_1|^2 formed once for every m."""
+        rows = np.multiply(psi2[lo:hi], wtil_g0_sq, out=scratch[: hi - lo])
+        for m in range(N):
+            C_pot[m, lo:hi] = sums(out, rows, psi2[m])
+
+    def coupling(l, out, scratch):
+        """Column l of B and of D: the column's field in scratch[0], its products in out."""
+        field = grad_dot(g0, gpsi2[l], scratch[0], out[0])
+        field *= 2.0
+        for lo, hi in spans:
+            B[lo:hi, l] = sums(out, wpsi1[lo:hi], field)
+        grad_dot(g0, gpsi1[l], field, out[0])
+        np.multiply(minus_2wtil, field, out=field)
+        for lo, hi in spans:
+            D[lo:hi, l] = sums(out, psi2[lo:hi], field)
+
+    def projection(proj, rows, space, lo, hi, out, scratch):
+        """proj[lo:hi] = vol (rows[lo:hi] . space), one load term's projection."""
+        proj[lo:hi] = sums(out, rows[lo:hi], space)
+
+    items = [(potential, lo, hi) for lo, hi in spans]
+    items += [(coupling, l) for l in range(N)]
+    items += [(stiffness, m, lo, min(lo + h, N)) for m in range(N) for lo in range(m, N, h)]
+    for proj, rows, forcing in zip(projections, (wpsi1, psi2), (f1, f2)):
+        for p, (space, _) in zip(proj, forcing.terms):
+            items += [(projection, p, rows, space.ravel(), lo, hi) for lo, hi in spans]
+    ws.map(lambda item, lane: item[0](*item[1:], *buffers[id(lane)]), items)
+
     upper = np.triu_indices(N, 1)
     for M in (A, C_grad):
         M.T[upper] = M[upper]
+    C = 2.0 * C_pot + C_grad
 
-    np.multiply(psi2, wtil_g0_sq, out=tmp)
-    for m in range(N):
-        np.multiply(tmp, psi2[m], out=acc)
-        C[m] = 2.0 * (np.sum(acc, axis=1) * vol) + C_grad[m]
-    del tmp  # the loads' wtil * psi1 takes its place
-
-    wpsi1 = wtil * wb.fields.reshape(N, -1)
-    for l in range(N):
-        b_l = 2.0 * np.sum(g0 * gpsi2[l], axis=0)
-        B[:, l] = np.sum(np.multiply(wpsi1, b_l, out=acc), axis=1) * vol
-        d_l = minus_2wtil * np.sum(g0 * gpsi1[l], axis=0)
-        D[:, l] = np.sum(np.multiply(psi2, d_l, out=acc), axis=1) * vol
-
-    def loads(forcing, rows):
+    def loads(forcing, proj):
         """Row j: the sum over terms of profile_i(t_j) times vol (rows . space_i), in term order."""
-        proj = [
-            np.sum(np.multiply(rows, space.ravel(), out=acc), axis=1) * vol for space, _ in forcing.terms
-        ]
         samples = forcing.profile_samples(times)
         F = samples[:, :1] * proj[0]
         for i in range(1, len(proj)):
@@ -301,8 +339,8 @@ def assemble_galerkin(
         D=D,
         dt=dt,
         times=times,
-        F1=loads(f1, wpsi1),
-        F2=loads(f2, psi2),
+        F1=loads(f1, projections[0]),
+        F2=loads(f2, projections[1]),
     )
 
 

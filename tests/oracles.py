@@ -143,7 +143,7 @@ def row_by_row_matrices(system: GalerkinSystem):
     the same float order, along one row of an (N, n^3) work buffer: A and C
     a whole row per pass, B and D a whole column per pass. No entry is
     mirrored from another, so this is the reference that the assembly's
-    mirrored triangles are held to bit for bit.
+    mirrored triangles and row blocks are held to bit for bit.
     """
     w = system.weight
     vol = w.grid.cell_volume

@@ -332,6 +332,21 @@ class TestCmdGalerkin:
         assert system.F1.shape[0] == system.F2.shape[0] == 1501
         assert system.C1.shape[0] == system.C2.shape[0] == 1501
 
+    def test_one_and_two_lanes_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # each cmd_galerkin builds its weight, whose workspace reads LANES
+        from singflow import flow
+
+        cfg = parse_config_text(MINIMAL + "\n[galerkin]\nN = 7\ndt = 1e-3\nt_final = 0.02\n")
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            assert cmd_galerkin(cfg, str(tmp_path / f"lanes{lanes}")) == 0
+        names = sorted(os.listdir(tmp_path / "lanes1"))
+        assert names == sorted(os.listdir(tmp_path / "lanes2"))
+        assert "matrix_D.csv" in names and "coefficients.csv" in names
+        for name in names:
+            one, two = (tmp_path / f"lanes{lanes}" / name for lanes in (1, 2))
+            assert one.read_bytes() == two.read_bytes(), name
+
 
 class TestCircleCurve:
     def test_circle_problem_end_to_end(self, tmp_path):
@@ -548,6 +563,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed run directory") and "timeseries.csv" in err
         assert "'oops'" in err
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one_value_short", "one_value_over"])
+    def test_analyze_series_row_of_wrong_length_exit_2(self, tmp_path, capsys, extra):
+        # zip would drop the missing or extra value and leave columns of different lengths
+        out = tmp_path / "run"
+        assert cmd_run(parse_config_text(MINIMAL), str(out)) == 0
+        path = out / "series_aux.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[-1].split(",")
+        lines[-1] = ",".join(fields[:-1] if extra < 0 else fields + ["0.0"])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed run directory"), err
+        where = f"series_aux.csv, line {len(lines)}: "
+        assert where + f"{len(fields) + extra} fields where the header has {len(fields)}" in err
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

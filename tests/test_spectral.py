@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from oracles import (
     weighted_norm_check,
 )
 
+from singflow import flow
 from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
 from singflow.operators import exact_inner, gradient, grid_inner, stencil_symbol
 from singflow.spectral import (
@@ -353,11 +358,12 @@ class TestAssembly:
         for got, want, size in zip((sysN.A, sysN.B, sysN.C, sysN.D), exact, scale):
             assert np.all(np.abs(got - want) <= 2 * np.finfo(float).eps * size)
 
-    @pytest.mark.parametrize("N", [4, 8, 16])
+    @pytest.mark.parametrize("N", [1, 3, 4, 5, 8, 16])
     def test_matrices_match_row_by_row_bitwise(self, grid, w16, N):
         # A and the gradient part of C are summed for l >= m only and mirrored;
         # every pointwise product commutes, so the mirror keeps the bits of the
-        # entry summed on its own
+        # entry summed on its own. The products are formed in blocks of
+        # ceil(N / 4) rows: N = 1, 3 and 4 give one-row blocks, 5 a short last block
         phi0_1, phi0_2 = smooth_phi0(grid)
         f1, f2 = forcing(grid, w16.rho)
         sysN = assemble_galerkin(phi0_1, phi0_2, w16, build_basis(grid, N), f1, f2, T=0.1, dt=0.1)
@@ -425,6 +431,64 @@ class TestAssembly:
         assert weak_residual(sysA) <= 1e-6
         assert sorted(calls) == want
         assert all(type(t) is float for _, t in calls)
+
+
+class TestLanes:
+    """The assembly's blocks give the same bits on one lane or two.
+
+    A workspace reads LANES when it is built, so each case builds a fresh
+    weight (dataclasses.replace starts with an empty cache).
+    """
+
+    @staticmethod
+    def assemble(grid, w, N):
+        phi0_1, phi0_2 = smooth_phi0(grid)
+        f1, f2 = forcing(grid, w.rho)
+        steady = (np.ones(grid.shape), lambda t: 0.5)  # a second load term
+        f2 = Forcing([*f2.terms, steady])
+        return assemble_galerkin(phi0_1, phi0_2, w, build_basis(grid, N), f1, f2, T=0.02, dt=1e-3)
+
+    @pytest.mark.parametrize("N", [1, 5, 16])
+    def test_one_and_two_lanes_give_the_same_bits(self, grid, w16, monkeypatch, N):
+        got = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(flow, "LANES", lanes)
+            w = dataclasses.replace(w16)
+            got[lanes] = self.assemble(grid, w, N)
+            assert len(w.slab_workspace.lanes) == lanes
+        for name in ("A", "B", "C", "D", "F1", "F2"):
+            assert np.array_equal(getattr(got[1], name), getattr(got[2], name)), name
+
+    def test_both_lanes_take_blocks(self, grid, w16, monkeypatch):
+        # a tiny switch interval makes the lanes interleave inside the hand-out
+        monkeypatch.setattr(flow, "LANES", 1)
+        expected = self.assemble(grid, dataclasses.replace(w16), 16)
+        monkeypatch.setattr(flow, "LANES", 2)
+        w = dataclasses.replace(w16)
+        ws = w.slab_workspace
+        map_ = ws.map
+        threads, lanes_used = set(), set()
+
+        def recording_map(work, items):
+            def recorded(item, lane):
+                threads.add(threading.current_thread())
+                lanes_used.add(id(lane))
+                time.sleep(1e-4)  # lets the other lane in
+                return work(item, lane)
+
+            return map_(recorded, items)
+
+        ws.map = recording_map
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.assemble(grid, w, 16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert lanes_used == {id(lane) for lane in ws.lanes}
+        assert len(threads) == 2
+        for name in ("A", "B", "C", "D", "F1", "F2"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
 class TestIntegration:
