@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success (and every check passing, for verify), 1 when a
 verification check fails, 2 on usage, config or I/O errors, a malformed
-snapshot included. Outputs are deterministic for a fixed config and seed: CSV
-floats use shortest round-trip repr and JSON is written with sorted keys.
+snapshot included, and on a flow or Galerkin blow-up. Outputs are
+deterministic for a fixed config and seed: CSV floats use shortest
+round-trip repr and JSON is written with sorted keys.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ from singflow.analysis import (
     check_max_principle, cstar2_to_final, exponent_fit, fit_decay_rate_log, theta_reference_rate
 )
 from singflow.config import ConfigError, RunConfig, build_problem, parse_config, whole_steps
-from singflow.flow import SERIES_COLUMNS, FlowState, Trajectory, cfl_dt, init_state, initial_fields, run
+from singflow.flow import (
+    SERIES_COLUMNS, FlowBlowupError, FlowState, Trajectory, cfl_dt, init_state, initial_fields, run
+)
 from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
 from singflow.spectral import (
+    OdeBlowupError,
     assemble_galerkin,
     build_basis,
     galerkin_forcing,
@@ -199,6 +203,10 @@ def cmd_analyze(run_dir: str) -> int:
         if got != expected:
             problem = f"{os.path.basename(path)} has (n, length, alpha, fields) {got}, not {expected}"
             break
+        bad = [name for name, f in sorted(snap.fields.items()) if not np.all(np.isfinite(f))]
+        if bad:
+            problem = f"{os.path.basename(path)} has non-finite values in {', '.join(bad)}"
+            break
     if problem:
         print(f"error: malformed run directory {run_dir!r}: {problem}", file=sys.stderr)
         return 2
@@ -297,7 +305,6 @@ def main(argv=None) -> int:
     p_gal = sub.add_parser("galerkin", help="assemble and integrate the linearized system")
     p_gal.add_argument("--config", required=True)
     p_gal.add_argument("--out", required=True)
-    p_gal.add_argument("--seed", type=int, default=None)
 
     p_ana = sub.add_parser("analyze", help="post-process a run directory")
     p_ana.add_argument("rundir")
@@ -313,8 +320,8 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.rundir)
         cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
+        if getattr(args, "seed", None) is not None:  # held to the config file's rules
+            cfg = RunConfig.from_dict({**cfg.as_dict(), "seed": args.seed}, source="--seed")
         if args.command == "run":
             return cmd_run(cfg, args.out)
         if args.command == "galerkin":
@@ -325,7 +332,7 @@ def main(argv=None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (OSError, SnapshotFormatError) as exc:
+    except (OSError, SnapshotFormatError, FlowBlowupError, OdeBlowupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -248,6 +248,8 @@ def _validate(cfg: RunConfig, errors: list[str]):
             )
     if cfg.holder_pairs < 1:
         errors.append(f"[analysis] holder_pairs = {cfg.holder_pairs}: must be positive")
+    if cfg.seed < 0:  # np.random.default_rng takes no negative seed
+        errors.append(f"[analysis] seed = {cfg.seed}: must be non-negative")
     if not (0 < cfg.rate_slack <= 1):
         errors.append(f"[analysis] rate_slack = {cfg.rate_slack}: must lie in (0, 1]")
 

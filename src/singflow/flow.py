@@ -155,8 +155,9 @@ SLAB_NODES = 32768
 # Threads of a workspace: the calling thread and, with two, one worker. Read
 # once from the CPUs this process may use. The worker takes the second lane of
 # every hand-out of two or more items (a step's two field updates, the slabs
-# of a grid of more than one slab) and the diagnostics row of `run`; a grid of
-# one slab is not split, since that cost more than it saved.
+# of a grid of more than one slab, and the diagnostics row of `run` beside
+# `derive_state`'s slabs); a grid of one slab is not split, since that cost
+# more than it saved.
 LANES = min(
     2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -195,15 +196,15 @@ class SlabWorkspace:
     hands its row blocks to the same lanes through `map`, each lane keyed to
     two block buffers the assembly owns. With
     `LANES == 2` the workspace has one worker thread, on a one-thread pool
-    made on first use: it runs the second lane of `map` and the jobs of
-    `submit`. Each lane writes only to its own scratch and to buffers the
+    that `map` makes on first use and that runs only the second lane of a
+    `map`. Each lane writes only to its own scratch and to buffers the
     caller owns, so the outputs are the same for any number of lanes. The
     worker ends when the workspace is dropped.
 
     `grid_array` hands out the grid-sized outputs of `step` and `derive_state`.
     It keeps up to `MAX_ARRAYS` of them and hands one out again only once
     nothing outside the workspace references it: no state, no view of one of
-    its arrays, no job on the worker. A caller may therefore hold any state or
+    its arrays, no item of a hand-out. A caller may therefore hold any state or
     array it was given, for as long as it likes, and its bits never change
     under it; once every reference is dropped, the memory serves a later
     state without fresh pages.
@@ -238,12 +239,18 @@ class SlabWorkspace:
         """[work(item, lane) for item in items], each item handed out to whichever lane is free.
 
         This thread works through the items on the first lane while the worker
-        takes them on the second, as one `submit` job, so a busy worker never
-        holds the result back. A single item stays on this thread, with no job
-        for the worker. Both lanes have stopped when this returns or raises.
+        takes them on the second, in a copy of this thread's context (so
+        numpy's errstate holds there too); a busy worker never holds the
+        result back. A single item stays on this thread, with no job for the
+        worker. Both lanes have stopped when this returns or raises, and an
+        error of either lane is raised here.
         """
         if len(items) < 2 or len(self.lanes) == 1:
             return [work(item, self.lanes[0]) for item in items]
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
         results = [None] * len(items)
         todo = enumerate(items)
         lock = threading.Lock()
@@ -256,7 +263,7 @@ class SlabWorkspace:
                     return
                 results[i] = work(item, lane)
 
-        future = self.submit(lambda: drain(self.lanes[1]))
+        future = self._pool.submit(contextvars.copy_context().run, drain, self.lanes[1])
         try:
             drain(self.lanes[0])
         finally:
@@ -269,31 +276,6 @@ class SlabWorkspace:
         if not future.cancelled():
             future.result()  # raises what the worker raised
         return results
-
-    def submit(self, job):
-        """The future of job(), run on the worker in a copy of this thread's context.
-
-        With one usable CPU (`LANES == 1`) the job runs here and the future
-        comes back done. Either way its error is raised by
-        `future.result()` on the calling thread, which must wait for the
-        future before it raises or lets go of what the job reads. A job must
-        not call `map`: the lanes' scratch belongs to the calling thread.
-        """
-        if len(self.lanes) > 1:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor  # imports logging: only when used
-
-                self._pool = ThreadPoolExecutor(1, thread_name_prefix="singflow-lane")
-            # in a copy of this thread's context, so numpy's errstate holds on the worker too
-            return self._pool.submit(contextvars.copy_context().run, job)
-        from concurrent.futures import Future
-
-        done = Future()
-        try:
-            done.set_result(job())
-        except Exception as exc:
-            done.set_exception(exc)
-        return done
 
 
 def _neighbours(f: np.ndarray, planes: slice) -> list:
@@ -380,7 +362,7 @@ def _dot3(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> Non
         out += np.multiply(a[ax], b[ax], out=tmp)
 
 
-def derive_state(phi1, phi2, t: float, w: WeightField) -> StepState:
+def derive_state(phi1, phi2, t: float, w: WeightField, beside=None) -> StepState:
     """The state at (phi1, phi2, t) with its right-hand sides and stencil fields.
 
     One fused pass over the workspace's slabs, shared out among its lanes;
@@ -388,6 +370,10 @@ def derive_state(phi1, phi2, t: float, w: WeightField) -> StepState:
     operations and their order are those of operators.flow_rhs, so every
     output is bitwise equal to the reference. The seven derived fields come
     from the workspace's `grid_array`, so they are the caller's to hold.
+    beside(), when given, is one more item of the hand-out, second in line:
+    with two lanes the worker takes it while this thread takes the first
+    slab, and either lane may run it. It must not call `map`, since the
+    hand-out holds both lanes' scratch.
     """
     ws = w.slab_workspace
     s = w.grid.spacing
@@ -409,7 +395,8 @@ def derive_state(phi1, phi2, t: float, w: WeightField) -> StepState:
         w.metric_weight(phi2[sl], out=wtil[sl], planes=sl)
         np.add(lap2[sl], np.multiply(wtil[sl], sq1[sl], out=tmp), out=r2[sl])
 
-    ws.map(slab, ws.slabs)
+    items = ws.slabs if beside is None else [ws.slabs[0], beside, *ws.slabs[1:]]
+    ws.map(lambda item, lane: beside() if item is beside else slab(item, lane), items)
     return StepState(phi1, phi2, t, r1, r2, lap1, lap2, wtil, sq1, sq2)
 
 
@@ -450,17 +437,18 @@ def step(
     dt: float,
     euler_factor: np.ndarray | None = None,
     step_index: int = 0,
-    fields_callback=None,
+    beside=None,
 ) -> StepState:
     """One IMEX step: explicit drift/source, implicit diffusion, re-pin.
 
     The two fields are updated independently, each on a lane of the weight's
     slab workspace (with two lanes, this thread takes one and the worker the
     other), into arrays from its `grid_array`; `derive_state` then builds the
-    new state from them. fields_callback(state), when given, runs between the
-    two, once both new fields are in and finite. The new state owns all its
-    arrays, and nothing of `state` is written, so a caller may hold any
-    earlier state.
+    new state from them. beside(state), when given, is one more item of that
+    `derive_state`'s hand-out, so it runs once both new fields are in and
+    finite, and has ended when this returns or raises. The new state owns
+    all its arrays, and nothing of `state` is written, so a caller may hold
+    any earlier state.
     """
     grid = w.grid
     if euler_factor is None:
@@ -495,9 +483,8 @@ def step(
             float(np.max(np.sqrt(np.sum(v * v, axis=0)))),
         )
 
-    if fields_callback is not None:
-        fields_callback(state)
-    return derive_state(phi1, phi2, state.t + dt, w)
+    job = None if beside is None else (lambda: beside(state))
+    return derive_state(phi1, phi2, state.t + dt, w, beside=job)
 
 
 SERIES_COLUMNS = (
@@ -615,25 +602,23 @@ def march(
     dt: float,
     t_final: float,
     step_callback=None,
-    fields_callback=None,
+    beside=None,
 ) -> StepState:
     """Take round(t_final / dt) steps from state0 and return the final state.
 
     step_callback(state), when given, runs on the initial state and after
     every step; streaming consumers (local-in-time diagnostics) hook in here
     without the memory cost of dense snapshots or the per-step series row.
-    fields_callback(state), when given, runs inside every step on the state
-    it steps from, once the new fields are in and before they are derived
-    (see `step`): the one point of a step where the worker lane is idle.
+    beside(state), when given, runs inside every step on the state it steps
+    from, as one item of the new state's `derive_state` hand-out (see
+    `step`), on whichever lane takes it.
     """
     factor = implicit_euler_factor(w.grid, dt)
     state = state0
     if step_callback is not None:
         step_callback(state)
     for i in range(1, int(round(t_final / dt)) + 1):
-        state = step(
-            state, w, dt, euler_factor=factor, step_index=i, fields_callback=fields_callback
-        )
+        state = step(state, w, dt, euler_factor=factor, step_index=i, beside=beside)
         if step_callback is not None:
             step_callback(state)
     return state
@@ -651,17 +636,15 @@ def run(
 
     Streaming consumers that need no series row hook into `march` instead.
 
-    Each state's diagnostics row is handed to the weight's slab-workspace
-    worker (`SlabWorkspace.submit`). The row of state k goes out inside step
-    k + 1, once its two field updates are in (the worker has just done one of
-    them), and runs beside that step's `derive_state`; it is collected after
-    that, before step k + 2's field updates start. So one row is in flight at
-    a time and the series keeps step order; the row is a pure function of its
-    state, so the series is the same as a serial one. The mean shift and the
-    snapshot copy of state k are made on this thread before step k + 1. The
-    worker has finished its row before this returns or raises; a row's error
-    is raised here. A step that blows up raises before the row of the state
-    it stepped from goes out.
+    The diagnostics row of state k runs inside step k + 1, as one item of
+    that step's `derive_state` hand-out (see `march`'s beside): with two
+    lanes the worker usually takes it beside the first slab. Either way it
+    has ended before step k + 1 returns, so the series keeps step order; the
+    row is a pure function of its state, so the series is the same as a
+    serial one. The final state's row runs here once `march` returns. The
+    mean shift and the snapshot copy of state k are made on this thread
+    before step k + 1. A row's error is raised here; a step that blows up
+    raises before the row of the state it stepped from runs.
 
     conserve_phi2_mean holds the phi2 mean at exactly zero (initial state
     included). With phi1 = 0 and zero-mean data the discrete flow conserves
@@ -687,15 +670,9 @@ def run(
     series: dict[str, list] = {}
     snapshots: list[FlowState] = []
     counter = itertools.count()
-    ws = w.slab_workspace
-    row = None  # the future of the last row handed out
 
-    def hand_out_row(state):
-        nonlocal row
-        row = ws.submit(lambda: _series_row(state, w, pre))
-
-    def collect_row():
-        for key, val in row.result().items():
+    def append_row(state):
+        for key, val in _series_row(state, w, pre).items():
             series.setdefault(key, []).append(val)
 
     def on_state(state):
@@ -707,17 +684,7 @@ def run(
             phi2 -= float(phi2.mean())
         if i == 0 or i % snap_every == 0 or i == n_steps:
             snapshots.append(state.copy())
-        if i > 0:
-            collect_row()  # the previous state's, handed out inside this step
 
-    try:
-        final = march(
-            state0, w, dt, t_final, step_callback=on_state, fields_callback=hand_out_row
-        )
-        hand_out_row(final)
-        collect_row()
-    except BaseException:
-        if row is not None and not row.cancel():
-            row.exception()  # waits: the worker still reads a state of this run
-        raise
+    final = march(state0, w, dt, t_final, step_callback=on_state, beside=append_row)
+    append_row(final)
     return Trajectory(series=series, snapshots=snapshots)

@@ -381,6 +381,11 @@ def _coarsen(snap):
     snap.fields = {name: f[::2, ::2, ::2] for name, f in snap.fields.items()}
 
 
+def _poison_phi2(snap):
+    snap.fields["phi2"] = snap.fields["phi2"].copy()
+    snap.fields["phi2"][1, 2, 3] = np.nan
+
+
 def _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, message):
     """`command` on the config `text` exits 2 with `message` on stderr and leaves `--out` as it was."""
     p = tmp_path / "rejected.cfg"
@@ -503,8 +508,14 @@ class TestMainEntry:
                 lambda out: _edit_snapshot(out, _coarsen),
                 ["malformed run directory", "snap_00001.sgf", "(8, 8, 8)"],
             ),
+            (
+                lambda out: _edit_snapshot(out, _poison_phi2),
+                ["malformed run directory", "snap_00001.sgf has non-finite values in phi2"],
+            ),
         ],
-        ids=["short_header", "bad_magic", "no_snapshots", "missing_field", "coarser_grid"],
+        ids=[
+            "short_header", "bad_magic", "no_snapshots", "missing_field", "coarser_grid", "nan_field"
+        ],
     )
     def test_analyze_bad_snapshot_exit_2(self, tmp_path, capsys, edit, messages):
         out = tmp_path / "run"
@@ -526,10 +537,11 @@ class TestMainEntry:
             (lambda c: c.update(dt=float("nan")), "dt = nan: nan is not a finite number"),
             (lambda c: c.update(circle_center=[0.5, 0.5]), "expected a list of three numbers"),
             (lambda c: c.update(family=0), "config: family = 0: expected a string"),
+            (lambda c: c.update(seed=-1), "config: [analysis] seed = -1: must be non-negative"),
         ],
         ids=[
             "unknown_key", "missing_key", "alpha_below_one", "str_for_float", "float_for_int",
-            "bool_for_int", "nan_float", "short_vec3", "int_for_str",
+            "bool_for_int", "nan_float", "short_vec3", "int_for_str", "negative_seed",
         ],
     )
     def test_analyze_bad_config_echo_exit_2(self, tmp_path, capsys, edit, message):
@@ -579,6 +591,74 @@ class TestMainEntry:
         assert err.startswith("error: malformed run directory"), err
         where = f"series_aux.csv, line {len(lines)}: "
         assert where + f"{len(fields) + extra} fields where the header has {len(fields)}" in err
+
+    def test_flow_blowup_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "blowup.cfg"
+        p.write_text(
+            "[grid]\nn = 16\n[flow]\nfamily = poly_cutoff+trig\nc = 1e4\na = 50\nb = 50\n"
+            "dt = 1e-2\nt_final = 1.0\nsnapshot_interval = 0.5\n"
+        )
+        with np.errstate(all="ignore"):
+            rc = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite field values at step 4; last finite state at t = 0.03")
+        assert "Traceback" not in err
+
+    def test_galerkin_blowup_exit_2(self, tmp_path, capsys, monkeypatch):
+        from singflow import cli
+        from singflow.spectral import OdeBlowupError
+
+        def integrate_ode(system):
+            raise OdeBlowupError(7, float("inf"))
+
+        monkeypatch.setattr(cli, "integrate_ode", integrate_ode)
+        p = tmp_path / "small.cfg"
+        p.write_text("[grid]\nn = 8\n[galerkin]\nN = 2\ndt = 1e-3\nt_final = 2e-3\n")
+        rc = main(["galerkin", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-finite Galerkin coefficient at step 7 (max |C| = inf)\n"
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_negative_seed_in_config_exit_2(self, tmp_path, capsys, existed):
+        text = MINIMAL + "[analysis]\nseed = -1\n"
+        message = "config error: [analysis] seed = -1: must be non-negative\n"
+        _assert_rejected_leaves_out(tmp_path, capsys, "run", text, existed, message)
+
+    @pytest.mark.parametrize("env", ["SINGFLOW_SEED", "SINGFLOW_ANALYSIS__SEED"])
+    def test_negative_seed_from_environment_exit_2(self, tmp_path, capsys, monkeypatch, env):
+        monkeypatch.setenv(env, "-1")
+        _assert_rejected_leaves_out(
+            tmp_path, capsys, "run", MINIMAL, False, "[analysis] seed = -1: must be non-negative"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys, command):
+        p = tmp_path / "ok.cfg"
+        p.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: --seed: [analysis] seed = -1: must be non-negative\n"
+        assert not out.exists()
+
+    def test_seed_flag_sets_the_echoed_seed(self, tmp_path):
+        p = tmp_path / "ok.cfg"
+        p.write_text(MINIMAL)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(p), "--out", str(out), "--seed", "7"]) == 0
+        echo = json.loads((out / "summary.json").read_text())["config"]
+        assert echo == {**parse_config_text(MINIMAL).as_dict(), "seed": 7}
+
+    def test_galerkin_takes_no_seed_flag(self, tmp_path, capsys):
+        p = tmp_path / "ok.cfg"
+        p.write_text(MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            main(["galerkin", "--config", str(p), "--out", str(tmp_path / "o"), "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         rc = main(["run", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])

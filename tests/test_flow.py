@@ -581,7 +581,7 @@ class TestStepBuffers:
         assert all(id(getattr(final, name)) in pooled for name in self._fields(final) if name != "t")
 
     def test_an_array_is_reused_once_dropped_and_never_while_held(self, monkeypatch):
-        monkeypatch.setattr(flow, "LANES", 2)  # a worker to hold one
+        monkeypatch.setattr(flow, "LANES", 2)  # a lane to hold one while the other asks
         ws = flow.SlabWorkspace((8, 8, 8))
         address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
 
@@ -597,17 +597,26 @@ class TestStepBuffers:
         del view
         assert address(ws.grid_array()) == addr  # dropped: handed out again
 
-        b = ws.grid_array()
-        addr = address(b)
-        release = threading.Event()
-        job = ws.submit(lambda held=b: release.wait(20) and float(held[0, 0, 0]) * 0.0)
-        del b  # the job on the worker still holds it
-        try:
-            assert addr not in handed_out()
-        finally:
-            release.set()
-        assert job.result(timeout=20) == 0.0
+        box = [ws.grid_array()]
+        addr = address(box[0])
+        held, asked = threading.Event(), threading.Event()
 
+        def work(item, lane):
+            # each item waits for the other, so each lane takes one: the lane
+            # given `box` alone holds the array while the other asks for three
+            if item is box:
+                array = box.pop()
+                held.set()
+                assert asked.wait(20)
+                return address(array)
+            assert held.wait(20)
+            try:
+                return addr in handed_out()
+            finally:
+                asked.set()
+
+        assert ws.map(work, [box, None]) == [addr, False]
+        assert address(ws.grid_array()) == addr  # the hand-out is over: free again
 
     def test_a_cancelled_worker_job_pins_no_item(self, monkeypatch):
         # with the worker busy, this thread takes both items and cancels the
@@ -617,7 +626,8 @@ class TestStepBuffers:
         ws = flow.SlabWorkspace((8, 8, 8))
         address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
         release = threading.Event()
-        busy = ws.submit(lambda: release.wait(20))
+        ws.map(lambda item, lane: None, [0, 1])  # makes the worker's pool
+        busy = ws._pool.submit(release.wait, 20)
         try:
             a, b = ws.grid_array(), ws.grid_array()
             addrs = {address(a), address(b)}
@@ -654,16 +664,16 @@ class TestLanes:
     def test_a_one_item_map_stays_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(flow, "LANES", 2)
         ws = flow.SlabWorkspace((16, 16, 16))
-        submitted = []
-        submit = ws.submit
-        ws.submit = lambda job: submitted.append(job) or submit(job)
         work = lambda item, lane: (item, lane, threading.current_thread())  # noqa: E731
         assert ws.map(work, ["only"]) == [("only", ws.lanes[0], threading.current_thread())]
         assert ws.map(work, []) == []
-        assert submitted == []  # no job for the worker, so none to cancel
-        assert ws._pool is None
+        assert ws._pool is None  # no job for the worker, so none to cancel
         assert [item for item, _, _ in ws.map(work, [0, 1])] == [0, 1]
-        assert len(submitted) == 1  # two items: the worker's lane is one job
+        submitted = []
+        submit = ws._pool.submit
+        ws._pool.submit = lambda *job: submitted.append(job) or submit(*job)
+        assert [item for item, _, _ in ws.map(work, [0, 1, 2])] == [0, 1, 2]
+        assert len(submitted) == 1  # the worker's lane is one job
 
     def test_step_on_one_slab_updates_the_fields_on_two_threads(self, w16, monkeypatch):
         monkeypatch.setattr(flow, "LANES", 2)
@@ -790,18 +800,38 @@ class TestLanes:
 
     @staticmethod
     def _spy_rows(monkeypatch, before=None):
-        """Patch flow._series_row to log the thread and errstate of each row; before(i) runs first."""
+        """Patch flow._series_row to log each row; before(i) runs first.
+
+        Each entry is (thread, errstate, t of the row's state, t of the
+        derive_state whose hand-out the row ran in, or None outside one).
+        """
         rows = []
-        row_ = flow._series_row
+        deriving = []  # the time of the derive_state in progress
+        row_, derive_state_ = flow._series_row, flow.derive_state
 
         def spy(state, w, pre):
-            rows.append((threading.current_thread(), np.geterr()))
+            inside = deriving[-1] if deriving else None
+            rows.append((threading.current_thread(), np.geterr(), state.t, inside))
             if before is not None:
                 before(len(rows) - 1)
             return row_(state, w, pre)
 
+        def derive(phi1, phi2, t, w, beside=None):
+            deriving.append(t)
+            try:
+                return derive_state_(phi1, phi2, t, w, beside=beside)
+            finally:
+                deriving.pop()
+
         monkeypatch.setattr(flow, "_series_row", spy)
+        monkeypatch.setattr(flow, "derive_state", derive)
         return rows
+
+    @staticmethod
+    def _assert_rows_beside_steps(rows, times):
+        """Row k ran inside step k + 1's hand-out, in step order; the last one after it."""
+        assert [t for _, _, t, _ in rows] == list(times)
+        assert [inside for _, _, _, inside in rows] == [*times[1:], None]
 
     def test_series_keeps_step_order_under_thread_switches(self, w16, monkeypatch):
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w16)
@@ -813,14 +843,16 @@ class TestLanes:
             return run(st0, w, dt=1e-4, t_final=4e-3, snapshot_interval=4e-3).series
 
         inline = series(1)
-        assert {thread for thread, _ in rows} == {threading.current_thread()}
+        assert {thread for thread, *_ in rows} == {threading.current_thread()}
+        self._assert_rows_beside_steps(rows, inline["t"])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 rows.clear()
                 assert series(2) == inline
-                assert threading.current_thread() not in {thread for thread, _ in rows}
+                self._assert_rows_beside_steps(rows, inline["t"])
+                assert rows[-1][0] is threading.current_thread()  # the final row, after march
         finally:
             sys.setswitchinterval(interval)
         assert len(inline["t"]) == 41 and np.all(np.diff(inline["t"]) > 0)
@@ -835,7 +867,7 @@ class TestLanes:
         def before(k):
             if k == 3:
                 active.append(k)
-                time.sleep(0.05)  # the next step finishes first
+                time.sleep(0.05)  # the other lane finishes its slab first
                 active.remove(k)
                 raise ValueError("row of state 3")
 
@@ -843,17 +875,22 @@ class TestLanes:
         with pytest.raises(ValueError, match="row of state 3") as err:
             run(st0, w, dt=1e-4, t_final=2e-3, snapshot_interval=2e-3)
         assert "run" in [entry.name for entry in err.traceback]
-        assert len(rows) == 4  # no row is handed out after the one that raised
+        assert len(rows) == 4  # no row runs after the one that raised
         assert active == []  # the row had ended before run raised
-        (thread,) = {thread for thread, _ in rows}
-        assert (thread is threading.current_thread()) == (lanes == 1)
-        # the worker is idle: a fresh job starts at once, on the same thread
-        assert w.slab_workspace.submit(threading.current_thread).result(timeout=5) is thread
+        assert rows[3][3] == rows[3][2] + 1e-4  # inside step 4's hand-out
+        if lanes == 1:
+            assert {thread for thread, *_ in rows} == {threading.current_thread()}
+            assert w.slab_workspace._pool is None
+        else:
+            # the worker is idle: a fresh job starts at once
+            worker = w.slab_workspace._pool.submit(threading.current_thread).result(timeout=5)
+            assert worker.name.startswith("singflow-lane")
+            assert {thread for thread, *_ in rows} <= {threading.current_thread(), worker}
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_blowup_with_a_row_in_flight_keeps_its_payload(self, w16, monkeypatch, lanes):
-        # step 3's heat solves return inf; the rows are slow, so a row handed
-        # out beside step 3's field updates would still be running when it failed
+        # step 3's heat solves return inf; the rows are slow, so a row that
+        # ran beside step 3's field updates would still be running when it failed
         monkeypatch.setattr(flow, "LANES", lanes)
         w = dataclasses.replace(w16)
         dt = 1e-3
@@ -885,7 +922,7 @@ class TestLanes:
             solves, poisoned_from = itertools.count(), 4  # steps 1 and 2 solve twice each
             with pytest.raises(FlowBlowupError) as err:
                 run(st0, w, dt=dt, t_final=5 * dt, snapshot_interval=5 * dt)
-        # rows 0 and 1 had ended before run raised; row 2 was never handed out
+        # rows 0 and 1 had ended before run raised; row 2 never ran
         assert started == finished == [0, 1]
         assert err.traceback[-1].name == "step"
         payload = [
@@ -901,40 +938,53 @@ class TestLanes:
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
         started, finished = [], []
         row2_started = threading.Event()
-        derived = itertools.count(1)
+        stencils = itertools.count()
+        slab_stencil_ = flow.slab_stencil
 
         def before(k):
             started.append(k)
             if k == 2:
                 row2_started.set()
-            time.sleep(0.2)  # still running when derive_state raises
+            time.sleep(0.2)  # still running when the slab raises
             finished.append(k)
 
-        derive_state_ = flow.derive_state
-
-        def derive(phi1, phi2, t, w_):
-            if next(derived) == 3:  # inside step 3, beside row 2
+        def stencil(*args, **kwargs):
+            # one slab, two stencils per derive_state: call 4 is step 3's slab,
+            # on the other lane from row 2, so it waits for the row to start
+            if next(stencils) == 4:
                 assert row2_started.wait(20)
                 raise KeyboardInterrupt
-            return derive_state_(phi1, phi2, t, w_)
+            return slab_stencil_(*args, **kwargs)
 
         self._spy_rows(monkeypatch, before)
-        monkeypatch.setattr(flow, "derive_state", derive)
+        monkeypatch.setattr(flow, "slab_stencil", stencil)
         with pytest.raises(KeyboardInterrupt):
             run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)
         assert started == finished == [0, 1, 2]  # row 2 had ended before run raised
 
     @pytest.mark.parametrize("mode", ["ignore", "warn"])
-    def test_errstate_holds_inside_the_row_on_the_worker(self, w16, monkeypatch, mode):
+    def test_errstate_holds_inside_the_row_on_either_lane(self, w16, monkeypatch, mode):
         monkeypatch.setattr(flow, "LANES", 2)
         w = dataclasses.replace(w16)
         st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
         rows = self._spy_rows(monkeypatch)
+        # each heat solve waits for the other, so the worker takes one per step
+        both_solving = threading.Barrier(2, timeout=20)
+        solves = []
+        heat_solve_ = flow.heat_solve
+
+        def heat_solve(*args):
+            solves.append((threading.current_thread(), np.geterr()))
+            both_solving.wait()
+            return heat_solve_(*args)
+
+        monkeypatch.setattr(flow, "heat_solve", heat_solve)
         with np.errstate(all=mode):
-            run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)
+            traj = run(st0, w, dt=1e-4, t_final=1e-3, snapshot_interval=1e-3)
         assert len(rows) == 11
-        for thread, err in rows:
-            assert thread is not threading.current_thread()
+        self._assert_rows_beside_steps(rows, traj.series["t"])
+        assert len({thread for thread, _ in solves}) == 2
+        for _, err, *_ in rows + solves:
             assert set(err.values()) == {mode}
 
     def test_one_row_in_flight_while_the_next_step_runs(self, w16, monkeypatch):
@@ -957,10 +1007,9 @@ class TestLanes:
             log.append(("solve_end",))
             return out
 
-        def derive(phi1, phi2, t, w_):
+        def derive(phi1, phi2, t, w_, beside=None):
             log.append(("derive", t))
-            time.sleep(1e-3)  # time for the worker to start the row handed out just before
-            out = derive_state_(phi1, phi2, t, w_)
+            out = derive_state_(phi1, phi2, t, w_, beside=beside)
             log.append(("derive_end", t))
             return out
 
@@ -974,17 +1023,17 @@ class TestLanes:
         def count(kind, before):  # events of a kind among the first `before` of the log
             return sum(e[0] == kind for e in log[:before])
 
-        overlaps = 0
         for k, t in enumerate(times):
             start, end = log.index(("row", t)), log.index(("row_end", t))
             # row k starts once step k + 1's two field updates have ended ...
             assert count("solve_end", start) == 2 * min(k + 1, 20), k
             # ... and has ended before step k + 2's field updates start
             assert count("solve", end) == 2 * min(k + 1, 20), k
-            if k < 20:
+            if k < 20:  # inside step k + 1's derive_state, whose hand-out holds it
                 t1 = times[k + 1]
-                overlaps += start < log.index(("derive_end", t1)) and end > log.index(("derive", t1))
-        assert overlaps > 0  # rows did run beside a derive_state
+                assert log.index(("derive", t1)) < start and end < log.index(("derive_end", t1)), k
+            else:  # the final row, once march has returned
+                assert start > log.index(("derive_end", t)), k
 
     def test_worker_thread_ends_with_its_weight_on_one_slab(self, w16, monkeypatch):
         monkeypatch.setattr(flow, "LANES", 2)

@@ -29,11 +29,8 @@ LOCAL_IMPORTS = {
     "weight.py:slab_workspace:singflow.flow.SlabWorkspace": (
         "flow imports weight's WeightField at module top, so weight reaches flow only when called"
     ),
-    "flow.py:submit:concurrent.futures.ThreadPoolExecutor": (
-        "concurrent.futures imports logging; it loads only when a step first submits a job"
-    ),
-    "flow.py:submit:concurrent.futures.Future": (
-        "the same deferral of concurrent.futures on the one-lane path"
+    "flow.py:map:concurrent.futures.ThreadPoolExecutor": (
+        "concurrent.futures imports logging; it loads only when a hand-out first needs the worker"
     ),
 }
 
