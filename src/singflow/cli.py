@@ -14,15 +14,16 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from singflow.analysis import (
     check_max_principle, cstar2_to_final, exponent_fit, fit_decay_rate_log, theta_reference_rate
 )
-from singflow.config import ConfigError, RunConfig, build_problem, parse_config, whole_steps
+from singflow.config import ConfigError, RunConfig, build_problem, parse_config
 from singflow.flow import (
-    SERIES_COLUMNS, FlowBlowupError, FlowState, Trajectory, cfl_dt, init_state, initial_fields, run
+    SERIES_COLUMNS, FlowBlowupError, FlowState, Trajectory, init_state, initial_fields, run
 )
 from singflow.norms import cstar2_norm, sampled_holder_seminorm, w212_norm
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
@@ -85,23 +86,31 @@ def _write_convergence(out_dir: str, traj, w) -> None:
 
 
 def cmd_run(cfg: RunConfig, out_dir: str) -> int:
+    """Step the flow with `[flow] dt` to t_final, then make out_dir and write the outputs there.
+
+    The run's warnings are held back: a blow-up drops them (its last finite
+    states overflow in their rows), else each is issued once per message and place.
+    """
     w = build_problem(cfg)
-    os.makedirs(out_dir, exist_ok=True)  # only for a config whose grid could be built
     state0 = init_state(cfg.family, cfg.family_params, w)
-    dt = cfg.dt  # a whole fraction of t_final under dt_policy = fixed (see config)
-    if cfg.dt_policy == "cfl":
-        dt = min(dt, cfl_dt(state0, w, cfg.cfl_factor))
-        if whole_steps(cfg.t_final, dt) is None:
-            # shrink dt so that whole steps end exactly at t_final
-            dt = cfg.t_final / math.ceil(cfg.t_final / dt)
-    traj = run(state0, w, dt=dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
+    try:
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("default")
+            traj = run(state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
+    except FlowBlowupError:
+        held.clear()
+        raise
+    finally:
+        for m in held:  # under the caller's filters
+            warnings.warn_explicit(m.message, m.category, m.filename, m.lineno)
+    os.makedirs(out_dir, exist_ok=True)
 
     _write_series(out_dir, traj)
     _write_snapshots(out_dir, traj, cfg)
     _write_convergence(out_dir, traj, w)
     summary = {
         "config": cfg.as_dict(),
-        "dt_used": dt,
+        "dt_used": cfg.dt,
         "steps": len(traj.series["t"]) - 1,
         "final_time": traj.final.t,
         "final_energy": traj.series["H"][-1],

@@ -4,7 +4,8 @@ The format is a flat INI-like text file with sections [grid], [curve],
 [weight], [flow], [analysis], [galerkin]. Every key has a default, unknown
 keys and sections are rejected, and parsing reports all problems at once
 (line numbers included for duplicates) rather than stopping at the first.
-Environment variables SINGFLOW_<SECTION>__<KEY> override file values.
+Environment variables SINGFLOW_<SECTION>__<KEY> override file values; one
+that names no key is rejected like an unknown key in the file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from singflow.flow import INITIAL_FAMILIES
+from singflow.flow import INITIAL_FAMILIES, whole_steps
 from singflow.geometry import CURVE_KINDS, CurveGamma, TorusGrid, distance_to_curve
 from singflow.spectral import FORCING_PRESETS
 from singflow.weight import build_weight
@@ -47,9 +48,7 @@ class RunConfig:
     family_c: float = 1.0
     family_a: float = 0.0
     family_b: float = 0.0
-    dt_policy: str = "fixed"
     dt: float = 1e-4
-    cfl_factor: float = 0.25
     t_final: float = 1.0
     snapshot_interval: float = 0.25
     # [analysis]
@@ -117,9 +116,7 @@ _SCHEMA: dict[tuple[str, str], tuple[str, str]] = {
     ("flow", "c"): ("family_c", "float"),
     ("flow", "a"): ("family_a", "float"),
     ("flow", "b"): ("family_b", "float"),
-    ("flow", "dt_policy"): ("dt_policy", "str"),
     ("flow", "dt"): ("dt", "float"),
-    ("flow", "cfl_factor"): ("cfl_factor", "float"),
     ("flow", "t_final"): ("t_final", "float"),
     ("flow", "snapshot_interval"): ("snapshot_interval", "float"),
     ("analysis", "seed"): ("seed", "int"),
@@ -180,18 +177,6 @@ def _check_kind(value, kind: str):
     return value
 
 
-def whole_steps(t_final: float, dt: float) -> int | None:
-    """round(t_final / dt) when t_final is a whole multiple of dt (relative
-    tolerance 1e-9), else None. The steppers take round(t_final / dt) steps
-    and snapshot every round(snapshot_interval / dt) steps, so a remainder
-    would end them, or space their snapshots, off the requested times."""
-    ratio = t_final / dt
-    if not math.isfinite(ratio):  # overflowed: no whole number of steps
-        return None
-    steps = round(ratio)
-    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
-
-
 def _off_grid(section: str, key: str, value: float, dt: float) -> str:
     return (
         f"[{section}] {key} = {value}: must be a whole multiple "
@@ -214,12 +199,10 @@ def _validate(cfg: RunConfig, errors: list[str]):
         )
     if cfg.family not in INITIAL_FAMILIES:
         errors.append(f"[flow] family = {cfg.family!r}: unknown initial-data family")
-    if cfg.dt_policy not in ("fixed", "cfl"):
-        errors.append(f"[flow] dt_policy = {cfg.dt_policy!r}: must be fixed or cfl")
-    for name in ("dt", "t_final", "snapshot_interval", "cfl_factor"):
+    for name in ("dt", "t_final", "snapshot_interval"):
         if getattr(cfg, name) <= 0:
             errors.append(f"[flow] {name} = {getattr(cfg, name)}: must be positive")
-    if cfg.dt_policy == "fixed" and cfg.dt > 0:
+    if cfg.dt > 0:
         for name in ("t_final", "snapshot_interval"):
             value = getattr(cfg, name)
             if value > 0 and whole_steps(value, cfg.dt) is None:
@@ -303,16 +286,20 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 
 
 def _apply_env_overrides(cfg: RunConfig, errors: list[str]):
-    for (section, key), (attr, kind) in _SCHEMA.items():
-        env_name = f"SINGFLOW_{section.upper()}__{key.upper()}"
-        if env_name in os.environ:
-            raw = os.environ[env_name]
-            try:
-                setattr(cfg, attr, _convert(raw, kind))
-            except ValueError as exc:
-                errors.append(
-                    f"environment {env_name}: cannot parse [{section}] {key} = {raw!r} ({exc})"
-                )
+    names = {f"SINGFLOW_{section.upper()}__{key.upper()}": (section, key) for section, key in _SCHEMA}
+    for env_name, raw in sorted(os.environ.items()):
+        if not env_name.startswith("SINGFLOW_") or "__" not in env_name:
+            continue
+        if env_name not in names:
+            section, key = env_name[len("SINGFLOW_"):].lower().split("__", 1)
+            errors.append(f"environment {env_name}: unknown key {key!r} in section [{section}]")
+            continue
+        section, key = names[env_name]
+        attr, kind = _SCHEMA[section, key]
+        try:
+            setattr(cfg, attr, _convert(raw, kind))
+        except ValueError as exc:
+            errors.append(f"environment {env_name}: cannot parse [{section}] {key} = {raw!r} ({exc})")
     if "SINGFLOW_SEED" in os.environ:
         try:
             cfg.seed = int(os.environ["SINGFLOW_SEED"])

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
+import math
 import os
 import sys
 import threading
@@ -407,14 +408,6 @@ def init_state(family: str, params: dict, w: WeightField) -> StepState:
     return derive_state(phi1, phi2, 0.0, w)
 
 
-def cfl_dt(state: StepState, w: WeightField, cfl_factor: float) -> float:
-    """dt <= c * spacing * min rho / (2 alpha + max |grad phi2| * min rho)."""
-    s = w.grid.spacing
-    min_rho = float(np.min(w.rho.rho))
-    max_g2 = float(np.sqrt(np.max(state.grad2_sq)))
-    return cfl_factor * s * min_rho / (2.0 * w.alpha + max_g2 * min_rho)
-
-
 def _advance_field(phi, old, dphi_dt, lap, pins, dt, factor, slabs, lane) -> bool:
     """phi = heat_solve(old + dt * (dphi_dt - lap)), zero on the pins if given; whether it is finite.
 
@@ -596,6 +589,25 @@ def _series_row(state: StepState, w: WeightField, pre: dict):
     }
 
 
+def whole_steps(t_final: float, dt: float) -> int | None:
+    """round(t_final / dt) when t_final is a whole multiple of dt (relative
+    tolerance 1e-9), else None. The steppers take that many steps and
+    snapshot every round(snapshot_interval / dt) steps, so a remainder would
+    end them, or space their snapshots, off the requested times."""
+    ratio = t_final / dt
+    if not math.isfinite(ratio):  # overflowed: no whole number of steps
+        return None
+    steps = round(ratio)
+    return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
+
+
+def _step_count(t_final: float, dt: float) -> int:
+    steps = whole_steps(t_final, dt)
+    if steps is None:
+        raise ValueError(f"t_final = {t_final} is not a whole multiple of dt = {dt}")
+    return steps
+
+
 def march(
     state0: FlowState,
     w: WeightField,
@@ -604,7 +616,10 @@ def march(
     step_callback=None,
     beside=None,
 ) -> StepState:
-    """Take round(t_final / dt) steps from state0 and return the final state.
+    """Take t_final / dt steps from state0 and return the final state.
+
+    t_final must be a whole multiple of dt (`whole_steps`), else this raises
+    ValueError before the first step.
 
     step_callback(state), when given, runs on the initial state and after
     every step; streaming consumers (local-in-time diagnostics) hook in here
@@ -613,11 +628,12 @@ def march(
     from, as one item of the new state's `derive_state` hand-out (see
     `step`), on whichever lane takes it.
     """
+    n_steps = _step_count(t_final, dt)
     factor = implicit_euler_factor(w.grid, dt)
     state = state0
     if step_callback is not None:
         step_callback(state)
-    for i in range(1, int(round(t_final / dt)) + 1):
+    for i in range(1, n_steps + 1):
         state = step(state, w, dt, euler_factor=factor, step_index=i, beside=beside)
         if step_callback is not None:
             step_callback(state)
@@ -634,7 +650,9 @@ def run(
 ) -> Trajectory:
     """March the flow to t_final, logging per-step series and scheduled snapshots.
 
-    Streaming consumers that need no series row hook into `march` instead.
+    Every step has size dt, and t_final must be a whole multiple of it, as in
+    `march`. Streaming consumers that need no series row hook into `march`
+    instead.
 
     The diagnostics row of state k runs inside step k + 1, as one item of
     that step's `derive_state` hand-out (see `march`'s beside): with two
@@ -654,6 +672,7 @@ def run(
     pure-decay runs stay clean over hundreds of orders of magnitude. Only
     valid for phi1 = 0 and zero-mean phi2, where no source feeds the mean.
     """
+    n_steps = _step_count(t_final, dt)
     if conserve_phi2_mean:
         if np.any(state0.phi1 != 0.0):
             raise ValueError("conserve_phi2_mean requires phi1 = 0")
@@ -663,8 +682,7 @@ def run(
         state0 = derive_state(state0.phi1, state0.phi2 - mean0, state0.t, w)
 
     pre = _series_constants(state0, w)
-    n_steps = int(round(t_final / dt))
-    # a whole number of steps under dt_policy = fixed (see config); the nearest one under cfl
+    # the config holds snapshot_interval to a whole multiple of dt; other callers get the nearest
     snap_every = max(1, int(round(snapshot_interval / dt)))
 
     series: dict[str, list] = {}

@@ -38,8 +38,8 @@ from singflow.analysis import (
     theta_decay_check,
 )
 from singflow.cli import cmd_run
-from singflow.config import MAX_STEPS, ConfigError, RunConfig, build_problem, whole_steps
-from singflow.flow import init_state, initial_fields, march, run
+from singflow.config import MAX_STEPS, ConfigError, RunConfig, build_problem
+from singflow.flow import init_state, initial_fields, march, run, whole_steps
 from singflow.operators import DP_apply, P_residual, gradient
 from singflow.snapshots import Snapshot, read_snapshot, write_snapshot
 from singflow.spectral import (

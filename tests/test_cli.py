@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singflow.cli import cmd_analyze, cmd_galerkin, cmd_run, main
+from singflow.cli import cmd_galerkin, cmd_run, main
 from singflow.config import _SCHEMA, ConfigError, RunConfig, parse_config_text
 from singflow.snapshots import Snapshot, SnapshotFormatError, read_snapshot, write_snapshot
 
@@ -75,9 +76,6 @@ class TestConfigParsing:
         assert err.value.errors == [
             "[flow] t_final = 0.0105: must be a whole multiple of dt = 0.001 (t_final/dt = 10.5)"
         ]
-        # dt_policy = cfl picks its own dt, so only the fixed policy is checked
-        text = MINIMAL.replace("t_final = 0.01", "t_final = 0.0105\ndt_policy = cfl")
-        assert parse_config_text(text).t_final == 0.0105
 
     def test_flow_snapshot_interval_must_be_a_multiple_of_fixed_dt(self):
         for interval, ratio in (("2.5e-3", "2.5"), ("5e-4", "0.5")):
@@ -88,20 +86,14 @@ class TestConfigParsing:
                 f"[flow] snapshot_interval = {float(interval)}: must be a whole multiple "
                 f"of dt = 0.001 (snapshot_interval/dt = {ratio})"
             ]
-        # dt_policy = cfl picks its own dt, so only the fixed policy is checked
-        text = MINIMAL.replace("snapshot_interval = 5e-3", "snapshot_interval = 2.5e-3\ndt_policy = cfl")
-        assert parse_config_text(text).snapshot_interval == 2.5e-3
 
     @pytest.mark.parametrize("section", ["flow", "galerkin"])
     def test_step_count_above_max_steps_rejected(self, section):
-        # fixed and cfl alike: cfl only shrinks dt, so it takes at least as many steps
-        for policy in ("fixed", "cfl"):
-            text = f"[flow]\ndt_policy = {policy}\n[{section}]\nt_final = 1e300\ndt = 1e-3\n"
-            with pytest.raises(ConfigError) as err:
-                parse_config_text(text)
-            assert err.value.errors == [
-                f"[{section}] t_final = 1e+300: 1e+303 steps of dt = 0.001 exceed MAX_STEPS = 10000000"
-            ]
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"[{section}]\nt_final = 1e300\ndt = 1e-3\n")
+        assert err.value.errors == [
+            f"[{section}] t_final = 1e+300: 1e+303 steps of dt = 0.001 exceed MAX_STEPS = 10000000"
+        ]
         # MAX_STEPS = 10^7 steps pass; one more does not
         parse_config_text(f"[{section}]\nt_final = 10000.0\ndt = 1e-3\n")
         with pytest.raises(ConfigError) as err:
@@ -142,6 +134,29 @@ class TestConfigParsing:
         monkeypatch.setenv("SINGFLOW_FLOW__DT", "5e-4")
         cfg = parse_config_text(MINIMAL)
         assert cfg.dt == 5e-4
+
+    @pytest.mark.parametrize(
+        "env, key, section",
+        [
+            ("SINGFLOW_FLOW__DTT", "dtt", "flow"),
+            ("SINGFLOW_FLOW__DT_POLICY", "dt_policy", "flow"),
+            ("SINGFLOW_FLOW__CFL_FACTOR", "cfl_factor", "flow"),
+            ("SINGFLOW_MESH__N", "n", "mesh"),
+            ("SINGFLOW_flow__dt", "dt", "flow"),
+        ],
+    )
+    def test_unknown_env_key_rejected(self, monkeypatch, env, key, section):
+        monkeypatch.setenv(env, "1e-3")
+        # the upper-cased schema pairs, the seed and names without a section stay valid
+        monkeypatch.setenv("SINGFLOW_GALERKIN__N", "3")
+        monkeypatch.setenv("SINGFLOW_SEED", "7")
+        monkeypatch.setenv("SINGFLOW_NOTE", "no section: not an override")
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL)
+        assert err.value.errors == [f"environment {env}: unknown key {key!r} in section [{section}]"]
+        monkeypatch.delenv(env)
+        cfg = parse_config_text(MINIMAL)
+        assert (cfg.galerkin_N, cfg.seed) == (3, 7)
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError) as err:
@@ -260,44 +275,6 @@ class TestCmdRun:
         assert set(snap.fields) == {"phi1", "phi2", "dphi1_dt", "dphi2_dt"}
 
 
-    def test_cfl_dt_ends_exactly_at_t_final(self, tmp_path):
-        text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
-        cfg = parse_config_text(text)
-        out = tmp_path / "run"
-        assert cmd_run(cfg, str(out)) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        dt_used, steps = summary["dt_used"], summary["steps"]
-        assert dt_used < cfg.dt
-        assert dt_used == cfg.t_final / steps
-        assert summary["final_time"] == pytest.approx(cfg.t_final, rel=1e-12)
-
-
-class TestCmdAnalyze:
-    def test_trajectory_uses_dt_of_the_run(self, tmp_path, monkeypatch):
-        # the trajectory carries the run's series, whose steps are dt_used, not the config's dt
-        import singflow.cli
-
-        text = MINIMAL.replace("family = zero", "family = trig\na = 0.1\ndt_policy = cfl")
-        cfg = parse_config_text(text)
-        out = tmp_path / "run"
-        assert cmd_run(cfg, str(out)) == 0
-        dt_used = json.loads((out / "summary.json").read_text())["dt_used"]
-        assert dt_used < cfg.dt
-
-        seen = []
-        check = singflow.cli.check_max_principle
-
-        def spy(traj, w):
-            seen.append(traj)
-            return check(traj, w)
-
-        monkeypatch.setattr(singflow.cli, "check_max_principle", spy)
-        assert cmd_analyze(str(out)) == 0
-        [traj] = seen
-        assert np.diff(traj.column("t")) == pytest.approx(dt_used, rel=1e-9)
-        assert traj.final.t == pytest.approx(cfg.t_final, rel=1e-12)
-
-
 class TestCmdGalerkin:
     def test_writes_matrices_and_report(self, tmp_path):
         text = MINIMAL + "\n[galerkin]\nN = 3\ndt = 1e-3\nt_final = 0.05\n"
@@ -386,8 +363,18 @@ def _poison_phi2(snap):
     snap.fields["phi2"][1, 2, 3] = np.nan
 
 
+# data whose flow turns non-finite at step 4 (t = 0.04)
+BLOWUP = (
+    "[grid]\nn = 16\n[flow]\nfamily = poly_cutoff+trig\nc = 1e4\na = 50\nb = 50\n"
+    "dt = 1e-2\nt_final = 1.0\nsnapshot_interval = 0.5\n"
+)
+
+
 def _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, message):
-    """`command` on the config `text` exits 2 with `message` on stderr and leaves `--out` as it was."""
+    """`command` on the config `text` exits 2 with `message` on stderr and leaves `--out` as it was.
+
+    Returns the stderr text.
+    """
     p = tmp_path / "rejected.cfg"
     p.write_text(text)
     out = tmp_path / "o"
@@ -402,6 +389,7 @@ def _assert_rejected_leaves_out(tmp_path, capsys, command, text, existed, messag
     if existed:
         assert [f.name for f in out.iterdir()] == ["kept.txt"]
         assert (out / "kept.txt").read_text() == "earlier output"
+    return err
 
 
 class TestMainEntry:
@@ -593,17 +581,34 @@ class TestMainEntry:
         assert where + f"{len(fields) + extra} fields where the header has {len(fields)}" in err
 
     def test_flow_blowup_exit_2(self, tmp_path, capsys):
-        p = tmp_path / "blowup.cfg"
-        p.write_text(
-            "[grid]\nn = 16\n[flow]\nfamily = poly_cutoff+trig\nc = 1e4\na = 50\nb = 50\n"
-            "dt = 1e-2\nt_final = 1.0\nsnapshot_interval = 0.5\n"
-        )
-        with np.errstate(all="ignore"):
-            rc = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
+        # the last finite states overflow in their diagnostics rows; with warnings
+        # raised as errors, any that got out would end the run before its error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _assert_rejected_leaves_out(tmp_path, capsys, "run", BLOWUP, False, "")
         assert err.startswith("error: non-finite field values at step 4; last finite state at t = 0.03")
-        assert "Traceback" not in err
+        assert err.count("\n") == 1, err
+        # the same data stopped before the blow-up completes, and keeps its rows' warnings
+        text = BLOWUP.replace("t_final = 1.0", "t_final = 0.01")
+        text = text.replace("snapshot_interval = 0.5", "snapshot_interval = 0.01")
+        with pytest.warns(RuntimeWarning) as caught:
+            assert cmd_run(parse_config_text(text), str(tmp_path / "done")) == 0
+        assert ("overflow encountered in exp", "flow.py") in {
+            (str(w.message), os.path.basename(w.filename)) for w in caught
+        }
+
+    def test_flow_blowup_leaves_an_existing_out_as_it_was(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_rejected_leaves_out(tmp_path, capsys, "run", BLOWUP, True, "error: non-finite")
+
+    def test_unknown_env_key_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SINGFLOW_FLOW__DT_POLICY", "cfl")
+        message = (
+            "config error: environment SINGFLOW_FLOW__DT_POLICY: "
+            "unknown key 'dt_policy' in section [flow]\n"
+        )
+        _assert_rejected_leaves_out(tmp_path, capsys, "run", MINIMAL, False, message)
 
     def test_galerkin_blowup_exit_2(self, tmp_path, capsys, monkeypatch):
         from singflow import cli

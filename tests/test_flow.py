@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -16,7 +17,6 @@ from singflow.flow import (
     FlowBlowupError,
     FlowState,
     StepState,
-    cfl_dt,
     derive_state,
     heat_solve,
     implicit_euler_factor,
@@ -311,22 +311,21 @@ class TestFixedPoint:
         assert 5.0 <= moves[0] / moves[1] <= 20.0
 
 
-class TestCfl:
-    def test_cfl_formula(self, w16):
-        st = init_state("zero", {}, w16)
-        dt = cfl_dt(st, w16, 0.25)
-        s = w16.grid.spacing
-        min_rho = float(np.min(w16.rho.rho))
-        assert dt == pytest.approx(0.25 * s * min_rho / (2 * 1.5), rel=1e-12)
-
-    def test_cfl_reads_the_gradient_of_phi2(self, w16):
-        st = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.3, "b": 0.2}, w16)
-        s = w16.grid.spacing
-        min_rho = float(np.min(w16.rho.rho))
-        g2 = gradient(st.phi2, s)
-        max_g2 = float(np.max(np.sqrt(np.sum(g2 * g2, axis=0))))
-        assert max_g2 > 1.0
-        assert cfl_dt(st, w16, 0.25) == 0.25 * s * min_rho / (2.0 * w16.alpha + max_g2 * min_rho)
+class TestStepCount:
+    def test_only_whole_multiples_of_dt_are_stepped(self, w16):
+        st0 = init_state("zero", {}, w16)
+        for t_final in (0.0105, 5e-4, 0.0):
+            message = re.escape(f"t_final = {t_final} is not a whole multiple of dt = 0.001")
+            seen = []
+            with pytest.raises(ValueError, match=message):
+                march(st0, w16, dt=1e-3, t_final=t_final, step_callback=seen.append)
+            assert seen == []  # raised before the first step
+            with pytest.raises(ValueError, match=message):
+                run(st0, w16, dt=1e-3, t_final=t_final, snapshot_interval=1e-3)
+        # 0.05 / 1e-4 = 500.00000000000006 is a whole multiple within rounding
+        seen = []
+        march(st0, w16, dt=1e-4, t_final=0.05, step_callback=seen.append)
+        assert len(seen) == 501
 
 
 @pytest.fixture(scope="module", params=[8, 16, 32, 48, 64])
