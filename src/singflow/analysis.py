@@ -176,11 +176,15 @@ class BochnerAccumulator:
     """Streaming max over interior nodes and steps of (d theta/dt - Lap theta).
 
     The continuum quantity is nonpositive, so the positive part measures the
-    discretization error. Keeps a rolling window of three theta fields for the
-    centered time difference; usable as a flow step callback, so runs never
-    hold the dense theta history. Nodes inside the exclusion ring or whose
-    stencil reaches the pinned ring are excluded. The centered difference and
-    Laplacian are taken slab by slab on the lanes of the weight's `slab_workspace`.
+    discretization error. `window` holds the (t, theta) of the last three
+    states, oldest first, for the centered time difference: a ring of three
+    arrays, the oldest reused for the newest state. Usable as a flow step
+    callback, so runs never hold the dense theta history. Nodes inside the
+    exclusion ring or whose stencil reaches the pinned ring are excluded.
+    Each call is one hand-out of the weight's `slab_workspace`: per slab, a
+    lane fills the new theta (`theta_field`) and takes the centered
+    difference and Laplacian of the window. The Laplacian reads the middle
+    theta across slab edges, and that array is complete from the call before.
     """
 
     def __init__(self, w: WeightField):
@@ -190,26 +194,27 @@ class BochnerAccumulator:
         self.worst = -math.inf
 
     def __call__(self, state: StepState):
-        theta = theta_field(state.wtil, state.dphi1_dt, state.dphi2_dt)
-        self.window.append((state.t, theta))
-        if len(self.window) > 3:
-            self.window.pop(0)
-        if len(self.window) == 3:
-            (t0, th0), (_, th1), (t2, th2) = self.window
-            s = self.w.grid.spacing
+        window = self.window
+        theta = window.pop(0)[1] if len(window) == 3 else np.empty(self.w.grid.shape)
+        window.append((state.t, theta))
+        s = self.w.grid.spacing
 
-            def slab_worst(sl, lane):
-                p = sl.stop - sl.start
-                lap, expr = lane.scratch[1, :p], lane.scratch[2, :p]
-                slab_stencil(th1, sl, lane, s, lap)
-                np.subtract(th2[sl], th0[sl], out=expr)
-                expr /= t2 - t0
-                expr -= lap
-                return float(np.max(expr, where=self.mask[sl], initial=-np.inf))
+        def slab_worst(sl, lane):
+            theta[sl] = theta_field(state.wtil[sl], state.dphi1_dt[sl], state.dphi2_dt[sl])
+            if len(window) < 3:
+                return -math.inf
+            (t0, th0), (_, th1), (t2, th2) = window
+            p = sl.stop - sl.start
+            lap, expr = lane.scratch[1, :p], lane.scratch[2, :p]
+            slab_stencil(th1, sl, lane, s, lap)
+            np.subtract(th2[sl], th0[sl], out=expr)
+            expr /= t2 - t0
+            expr -= lap
+            return float(np.max(expr, where=self.mask[sl], initial=-np.inf))
 
-            # the slab maxima in slab order, as one lane would take them
-            ws = self.w.slab_workspace
-            self.worst = max(self.worst, *ws.map(slab_worst, ws.slabs))
+        # the slab maxima in slab order, as one lane would take them
+        ws = self.w.slab_workspace
+        self.worst = max(self.worst, *ws.map(slab_worst, ws.slabs))
 
 
 def theta_reference_rate(grid) -> float:

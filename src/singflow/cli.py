@@ -80,34 +80,31 @@ def _write_snapshots(out_dir: str, traj, cfg: RunConfig) -> None:
         write_snapshot(os.path.join(out_dir, f"snap_{idx:05d}.sgf"), snap)
 
 
-def _write_convergence(out_dir: str, traj, w) -> None:
-    rows = zip(traj.snapshot_times, cstar2_to_final(traj, w))
-    write_csv(os.path.join(out_dir, "convergence.csv"), ("t", "cstar2_to_final"), rows)
-
-
 def cmd_run(cfg: RunConfig, out_dir: str) -> int:
     """Step the flow with `[flow] dt` to t_final, then make out_dir and write the outputs there.
 
-    The run's warnings are held back: a blow-up drops them (its last finite
-    states overflow in their rows), else each is issued once per message and place.
+    Everything written is computed before out_dir is made. A run whose last
+    states overflow, so that a snapshot's cstar2 distance to the final one is
+    not finite, prints one `error:` line, returns 2 and makes no out_dir.
+    The run's warnings are held back: an error drops them (a blow-up's last
+    finite states overflow in their rows), else each is issued once per
+    message and place.
     """
     w = build_problem(cfg)
     state0 = init_state(cfg.family, cfg.family_params, w)
-    try:
-        with warnings.catch_warnings(record=True) as held:
-            warnings.simplefilter("default")
-            traj = run(state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
-    except FlowBlowupError:
-        held.clear()
-        raise
-    finally:
-        for m in held:  # under the caller's filters
-            warnings.warn_explicit(m.message, m.category, m.filename, m.lineno)
-    os.makedirs(out_dir, exist_ok=True)
-
-    _write_series(out_dir, traj)
-    _write_snapshots(out_dir, traj, cfg)
-    _write_convergence(out_dir, traj, w)
+    with warnings.catch_warnings(record=True) as held:
+        warnings.simplefilter("default")
+        traj = run(state0, w, dt=cfg.dt, t_final=cfg.t_final, snapshot_interval=cfg.snapshot_interval)
+        try:
+            distances = cstar2_to_final(traj, w)
+        except ValueError as exc:  # the NormReport of a non-finite norm
+            print(
+                f"error: the run reached t = {traj.final.t:.6g}, but its last states overflow: {exc}",
+                file=sys.stderr,
+            )
+            return 2
+    for m in held:  # under the caller's filters
+        warnings.warn_explicit(m.message, m.category, m.filename, m.lineno)
     summary = {
         "config": cfg.as_dict(),
         "dt_used": cfg.dt,
@@ -117,6 +114,15 @@ def cmd_run(cfg: RunConfig, out_dir: str) -> int:
         "final_max_abs_phi2": traj.series["max_abs_phi2"][-1],
         "snapshots": len(traj.snapshots),
     }
+    os.makedirs(out_dir, exist_ok=True)
+
+    _write_series(out_dir, traj)
+    _write_snapshots(out_dir, traj, cfg)
+    write_csv(
+        os.path.join(out_dir, "convergence.csv"),
+        ("t", "cstar2_to_final"),
+        zip(traj.snapshot_times, distances),
+    )
     write_json(os.path.join(out_dir, "summary.json"), summary)
     return 0
 

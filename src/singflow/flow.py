@@ -23,6 +23,7 @@ with the stencil eigenvalues.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -212,7 +213,9 @@ class SlabWorkspace:
     """
 
     # four states' outputs: the initial state its caller holds (two, when `run`
-    # projects out the phi2 mean), the state a step reads and the one it builds
+    # projects out the phi2 mean), the state a step reads, which `run`'s row
+    # holds, and the one it builds. A `march` that is handed its state0 keeps
+    # 11: the state a step reads and the two new fields (see `march`)
     MAX_ARRAYS = 36
 
     def __init__(self, shape):
@@ -442,6 +445,11 @@ def step(
     finite, and has ended when this returns or raises. The new state owns
     all its arrays, and nothing of `state` is written, so a caller may hold
     any earlier state.
+
+    Once the new fields are in and finite, this drops its own reference to
+    `state`; from then on only the beside job holds it. A caller that hands
+    its state over (as `march` does) thus lets `derive_state` take the old
+    state's arrays for the new one.
     """
     grid = w.grid
     if euler_factor is None:
@@ -476,8 +484,10 @@ def step(
             float(np.max(np.sqrt(np.sum(v * v, axis=0)))),
         )
 
-    job = None if beside is None else (lambda: beside(state))
-    return derive_state(phi1, phi2, state.t + dt, w, beside=job)
+    t = state.t + dt
+    job = None if beside is None else functools.partial(beside, state)
+    del state, lap1, lap2
+    return derive_state(phi1, phi2, t, w, beside=job)
 
 
 SERIES_COLUMNS = (
@@ -601,10 +611,11 @@ def whole_steps(t_final: float, dt: float) -> int | None:
     return steps if steps >= 1 and abs(ratio - steps) <= 1e-9 * steps else None
 
 
-def _step_count(t_final: float, dt: float) -> int:
-    steps = whole_steps(t_final, dt)
+def _step_count(name: str, value: float, dt: float) -> int:
+    """whole_steps(value, dt), or ValueError naming the argument `name` when value is off the grid."""
+    steps = whole_steps(value, dt)
     if steps is None:
-        raise ValueError(f"t_final = {t_final} is not a whole multiple of dt = {dt}")
+        raise ValueError(f"{name} = {value} is not a whole multiple of dt = {dt}")
     return steps
 
 
@@ -627,17 +638,26 @@ def march(
     beside(state), when given, runs inside every step on the state it steps
     from, as one item of the new state's `derive_state` hand-out (see
     `step`), on whichever lane takes it.
+
+    Each state is handed to `step` without a reference kept here, and state0
+    is released after the first callback. Unless the caller, the callback or
+    beside holds a state, `step` therefore drops it before the new state is
+    derived, and the workspace's `grid_array` hands its arrays to the new
+    state: the march holds two states' fields, not three. This relies on
+    CPython 3.11 or later, where the callee alone holds a popped argument; on
+    3.10 the bits are the same and one more state stays alive.
     """
-    n_steps = _step_count(t_final, dt)
+    n_steps = _step_count("t_final", t_final, dt)
     factor = implicit_euler_factor(w.grid, dt)
-    state = state0
     if step_callback is not None:
-        step_callback(state)
+        step_callback(state0)
+    held = [state0]  # popped into each step, so this frame holds no state while it runs
+    del state0
     for i in range(1, n_steps + 1):
-        state = step(state, w, dt, euler_factor=factor, step_index=i, beside=beside)
+        held.append(step(held.pop(), w, dt, euler_factor=factor, step_index=i, beside=beside))
         if step_callback is not None:
-            step_callback(state)
-    return state
+            step_callback(held[0])
+    return held.pop()
 
 
 def run(
@@ -650,8 +670,9 @@ def run(
 ) -> Trajectory:
     """March the flow to t_final, logging per-step series and scheduled snapshots.
 
-    Every step has size dt, and t_final must be a whole multiple of it, as in
-    `march`. Streaming consumers that need no series row hook into `march`
+    Every step has size dt, and t_final and snapshot_interval must be whole
+    multiples of it, as in `march`; else this raises ValueError before the
+    first step. Streaming consumers that need no series row hook into `march`
     instead.
 
     The diagnostics row of state k runs inside step k + 1, as one item of
@@ -672,7 +693,8 @@ def run(
     pure-decay runs stay clean over hundreds of orders of magnitude. Only
     valid for phi1 = 0 and zero-mean phi2, where no source feeds the mean.
     """
-    n_steps = _step_count(t_final, dt)
+    n_steps = _step_count("t_final", t_final, dt)
+    snap_every = _step_count("snapshot_interval", snapshot_interval, dt)
     if conserve_phi2_mean:
         if np.any(state0.phi1 != 0.0):
             raise ValueError("conserve_phi2_mean requires phi1 = 0")
@@ -682,8 +704,6 @@ def run(
         state0 = derive_state(state0.phi1, state0.phi2 - mean0, state0.t, w)
 
     pre = _series_constants(state0, w)
-    # the config holds snapshot_interval to a whole multiple of dt; other callers get the nearest
-    snap_every = max(1, int(round(snapshot_interval / dt)))
 
     series: dict[str, list] = {}
     snapshots: list[FlowState] = []

@@ -16,9 +16,11 @@ from singflow.analysis import (
     tension_bound,
     theta_decay_check,
 )
+from singflow import flow
 from singflow.flow import derive_state, init_state, march, run
-from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve
-from singflow.operators import stencil_symbol
+from singflow.geometry import CurveGamma, TorusGrid, distance_to_curve, stencil_clear
+from singflow.norms import theta_field
+from singflow.operators import laplacian, stencil_symbol
 from singflow.weight import build_weight
 
 AXIS = CurveGamma.axis_line(0.5, 0.5)  # the curve of w16 and w32
@@ -144,7 +146,7 @@ class TestBochner:
         acc = BochnerAccumulator(w16)
         march(st, w16, dt=dt, t_final=11 * dt, step_callback=acc)
 
-        from singflow.operators import gradient, laplacian
+        from singflow.operators import gradient
 
         (t_prev, th_prev), (t_mid, th_mid), (t_next, th_next) = acc.window
         expr = (th_next - th_prev) / (t_next - t_prev) - laplacian(th_mid, grid.spacing)
@@ -161,6 +163,34 @@ class TestBochner:
         target = -2.0 * np.sum(g * g, axis=0)
         scale = float(np.max(np.abs(target)))
         assert np.max(np.abs(expr - target)) <= 60.0 * (dt**2 + grid.spacing**2) * scale
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_ring_matches_a_whole_grid_oracle(self, w16, monkeypatch, lanes):
+        # slabs of 5, 5, 5 and 1 planes: the Laplacian of the middle theta
+        # reads across slab edges, on one lane or two
+        monkeypatch.setattr(flow, "SLAB_NODES", 5 * 16 * 16)
+        monkeypatch.setattr(flow, "LANES", lanes)
+        w = dataclasses.replace(w16)  # a fresh workspace reads both
+        assert len(w.slab_workspace.slabs) == 4
+        acc = BochnerAccumulator(w)
+        states = []
+
+        def both(state):
+            acc(state)
+            states.append(state)
+
+        march(init_state(*NONLINEAR, w), w, dt=1e-4, t_final=2e-3, step_callback=both)
+        window = [(st.t, theta_field(st.wtil, st.dphi1_dt, st.dphi2_dt)) for st in states]
+        mask = stencil_clear(w.rho.pinned) & w.rho.outside_ring
+        worst = max(
+            float(np.max(((th2 - th0) / (t2 - t0) - laplacian(th1, w.grid.spacing))[mask]))
+            for (t0, th0), (_, th1), (t2, th2) in zip(window, window[1:], window[2:])
+        )
+        assert acc.worst == worst
+        assert len(acc.window) == 3
+        for (t, theta), (t_want, theta_want) in zip(acc.window, window[-3:]):
+            assert t == t_want
+            assert np.array_equal(theta, theta_want)
 
     def test_nonlinear_violation_small(self, w16):
         dt = 1e-4
@@ -245,7 +275,7 @@ class TestEpsilonRegularity:
     def test_table_matches_densities_from_the_fields(self, w32):
         # the scan reads the state's derived fields; the table is the one the
         # densities rebuilt from phi1, phi2 and the time derivatives give, bit for bit
-        from singflow.norms import ball_mask, theta_field
+        from singflow.norms import ball_mask
         from singflow.operators import gradient
 
         st0 = init_state("poly_cutoff+trig", {"c": 0.05, "a": 0.1, "b": 0.05}, w32)

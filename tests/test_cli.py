@@ -597,6 +597,19 @@ class TestMainEntry:
             (str(w.message), os.path.basename(w.filename)) for w in caught
         }
 
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_a_run_whose_last_states_overflow_exit_2(self, tmp_path, capsys, existed):
+        # the run completes at its last finite state, but the cstar2 distance
+        # of its initial snapshot to that final one is not finite
+        text = BLOWUP.replace("t_final = 1.0", "t_final = 0.03")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = _assert_rejected_leaves_out(tmp_path, capsys, "run", text, existed, "")
+        assert err == (
+            "error: the run reached t = 0.03, but its last states overflow: "
+            "norm cstar2 must be finite and nonnegative\n"
+        )
+
     def test_flow_blowup_leaves_an_existing_out_as_it_was(self, tmp_path, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -327,6 +327,24 @@ class TestStepCount:
         march(st0, w16, dt=1e-4, t_final=0.05, step_callback=seen.append)
         assert len(seen) == 501
 
+    def test_only_whole_multiples_of_dt_are_snapshot_intervals(self, w16, monkeypatch):
+        st0 = init_state("zero", {}, w16)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before the snapshot interval was checked")
+
+        with monkeypatch.context() as m:
+            m.setattr(flow, "step", no_step)
+            for interval in (1.5e-3, 5e-4, 0.0, -1e-3):
+                message = re.escape(
+                    f"snapshot_interval = {interval} is not a whole multiple of dt = 0.001"
+                )
+                with pytest.raises(ValueError, match=message):
+                    run(st0, w16, dt=1e-3, t_final=0.01, snapshot_interval=interval)
+        # 3e-4 / 1e-4 = 2.9999999999999996 is a whole multiple within rounding
+        traj = run(st0, w16, dt=1e-4, t_final=1.2e-3, snapshot_interval=3e-4)
+        assert len(traj.snapshots) == 5
+
 
 @pytest.fixture(scope="module", params=[8, 16, 32, 48, 64])
 def weight_n(request):
@@ -528,6 +546,17 @@ class TestMarch:
         assert got == expected
 
 
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+# march hands each state to step by popping it from a list; CPython 3.11 and
+# later then hold it only in step's frame, so step can drop it
+HANDOVER = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="the callee alone holds a popped argument from 3.11 on"
+)
+
+
 class TestStepBuffers:
     """`step` and `derive_state` take their outputs from the workspace's `grid_array`.
 
@@ -565,6 +594,60 @@ class TestStepBuffers:
         march(final, w, dt=1e-4, t_final=2e-3)
         self._assert_kept(st0, before0)
         self._assert_kept(final, before_final)
+
+    def test_march_recycles_all_but_the_states_held(self, w16):
+        # the caller holds state0 and the callback every fifth state; every
+        # other state's arrays serve later states
+        w = dataclasses.replace(w16)
+        st0 = init_state("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1}, w)
+        before0 = self._fields(st0)
+        kept, before, addresses = [], [], set()
+
+        def keep_every_fifth(st):
+            addresses.update(_address(getattr(st, name)) for name in self._fields(st) if name != "t")
+            if round(st.t / 1e-4) % 5 == 0:
+                kept.append(st)
+                before.append(self._fields(st))
+
+        march(st0, w, dt=1e-4, t_final=2e-3, step_callback=keep_every_fifth)
+        self._assert_kept(st0, before0)
+        assert [round(st.t / 1e-4) for st in kept] == [0, 5, 10, 15, 20]
+        for st, fields in zip(kept, before):
+            self._assert_kept(st, fields)
+        assert len(addresses) < 21 * 9  # 21 states of 9 arrays, some handed out again
+
+    @HANDOVER
+    def test_a_march_handed_its_state0_keeps_two_states(self, w16):
+        from singflow.analysis import BochnerAccumulator
+
+        data = ("poly_cutoff+trig", {"c": 0.5, "a": 0.1, "b": 0.1})
+        w = dataclasses.replace(w16)
+        march(init_state(*data, w), w, 1e-4, 2e-3, step_callback=BochnerAccumulator(w))
+        assert len(w.slab_workspace._arrays) == 11  # the state a step reads and two new fields
+        w = dataclasses.replace(w16)
+        st0 = init_state(*data, w)
+        run(st0, w, dt=1e-4, t_final=2e-3, snapshot_interval=1e-3)
+        # the caller's state0 (7 derived fields), the state a step reads, which
+        # its row holds (9), and the state built (9)
+        assert len(w.slab_workspace._arrays) == 25
+
+    @HANDOVER
+    def test_check_bochner_hands_its_initial_states_over(self, monkeypatch):
+        from singflow import verify
+        from singflow.config import build_problem, parse_config
+
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(build_problem(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(verify, "build_problem", spy)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = dataclasses.replace(parse_config(os.path.join(root, "configs", "acceptance.cfg")), n=8)
+        verify.check_bochner(cfg)
+        assert [w.grid.n for w in built] == [8, 16]
+        assert [len(w.slab_workspace._arrays) for w in built] == [11, 11]
 
     def test_the_arrays_stay_bounded_over_200_steps(self, w16):
         w = dataclasses.replace(w16)
